@@ -56,12 +56,11 @@ bench:
 
 # bench-hot measures the //afl:hotpath-annotated functions (filter apply,
 # buffer ingest, wire codec, replication record build) with allocation
-# counts, gates them against the committed gob-era BENCH_8 baseline via
-# cmd/benchgate (the binary codec + arena work must hold its >= 50%
-# allocs/op win on the two gated paths, and nothing may regress), then
-# captures an overload-experiment throughput snapshot (the served hot
-# path: ingest, filter, shed counters). CI uploads the snapshots as
-# BENCH_10.
+# counts, gates them against the committed BENCH_8 baseline via
+# cmd/benchgate (the two gated paths must stay at half the baseline's
+# allocs/op or below, and nothing may regress), then captures an
+# overload-experiment throughput snapshot (the served hot path: ingest,
+# filter, shed counters). CI uploads the snapshots as BENCH_10.
 bench-hot:
 	$(GO) test -run=NONE -bench='^BenchmarkHot' -benchmem ./internal/core/ ./internal/fl/ ./internal/transport/ ./internal/topology/ | tee bench-hot.txt
 	$(GO) run ./cmd/benchgate -in bench-hot.txt -baseline BENCH_8_allocs.json -out BENCH_10_allocs.json \
@@ -79,10 +78,11 @@ cover:
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
 # fuzz-smoke runs each transport wire-decode fuzzer briefly: adversarial
-# gob streams on every protocol surface — client, edge uplink, root
-# replication, and the quorum vote exchange — must yield typed errors,
-# never a panic or hang. Go runs one fuzz target per invocation, hence
-# the loop.
+# bytes against the preamble check and frame decoders of every protocol
+# surface — client, edge uplink, root replication, the quorum vote
+# exchange, and the raw frame envelope — must yield typed errors, never
+# a panic or hang. Go runs one fuzz target per invocation, hence the
+# loop.
 FUZZ_TARGETS = FuzzDecodeClientMsg FuzzDecodeEdgeMsg FuzzDecodeRootMsg \
 	FuzzDecodeReplicaMsg FuzzDecodePrimaryMsg FuzzDecodeVoteMsg \
 	FuzzDecodeBinaryEnvelope

@@ -41,7 +41,6 @@ func run(args []string) error {
 		retryMax    = fs.Duration("retry-max", 10*time.Second, "reconnect backoff cap")
 		dialTimeout = fs.Duration("dial-timeout", 10*time.Second, "per-connection dial timeout (0 disables)")
 		heartbeat   = fs.Duration("heartbeat", 0, "keepalive heartbeat interval, well below the server's -lease (0 disables)")
-		codec       = fs.String("codec", "binary", "wire codec: binary (length-prefixed frames, the default) or gob (legacy; use to roll back against old servers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +79,6 @@ func run(args []string) error {
 		RetryMaxDelay:     *retryMax,
 		DialTimeout:       *dialTimeout,
 		HeartbeatInterval: *heartbeat,
-		Codec:             *codec,
 	})
 	if err != nil {
 		return err

@@ -112,12 +112,11 @@ func run(args []string) error {
 
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM before hard shutdown")
 
-		rootAddr    = fs.String("root-addr", "", "edge role: the root server's address")
-		edgeID      = fs.Int("edge-id", 0, "edge role: unique edge id")
-		heartbeat   = fs.Duration("heartbeat", 0, "edge role: uplink heartbeat interval (0 = 500ms); keep well below the root's -edge-lease")
-		maxBatches  = fs.Int("max-pending-batches", 0, "edge role: degraded-mode batch buffer bound (0 = 64)")
-		uplinkCodec = fs.String("uplink-codec", "binary", "edge role: uplink wire codec, binary or gob (the root auto-detects; use gob to roll back against an old root)")
-		edgeLease   = fs.Duration("edge-lease", 5*time.Second, "root role: evict edges silent this long and hand their filter state to survivors (0 disables failover)")
+		rootAddr   = fs.String("root-addr", "", "edge role: the root server's address")
+		edgeID     = fs.Int("edge-id", 0, "edge role: unique edge id")
+		heartbeat  = fs.Duration("heartbeat", 0, "edge role: uplink heartbeat interval (0 = 500ms); keep well below the root's -edge-lease")
+		maxBatches = fs.Int("max-pending-batches", 0, "edge role: degraded-mode batch buffer bound (0 = 64)")
+		edgeLease  = fs.Duration("edge-lease", 5*time.Second, "root role: evict edges silent this long and hand their filter state to survivors (0 disables failover)")
 
 		replListen = fs.String("repl-listen", "", "root role: replication channel listen address (\"\" disables replication)")
 		replicaOf  = fs.String("replica-of", "", "root role: comma-separated primary replication addresses; set to run as a standby")
@@ -128,7 +127,6 @@ func run(args []string) error {
 		votePath   = fs.String("vote-ledger", "", "root role: persist this node's vote ledger to this file so a restarted voter cannot double-grant (\"\" keeps it in memory)")
 		replLease  = fs.Duration("replica-lease", 2*time.Second, "root role: standby promotes after this much primary silence")
 		replBeat   = fs.Duration("replica-heartbeat", 0, "root role: primary's idle replication push interval (0 = lease/4)")
-		replCodec  = fs.String("repl-codec", "binary", "root role: standby replication-link wire codec, binary or gob (the primary auto-detects; use gob to roll back against an old primary)")
 
 		obsvAddr   = fs.String("obsv-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address (\"\" disables)")
 		traceDepth = fs.Int("trace-depth", 0, "filter-decision trace ring size for -obsv-addr (0 = default)")
@@ -191,7 +189,6 @@ func run(args []string) error {
 			edgeID:     *edgeID,
 			heartbeat:  *heartbeat,
 			maxBatches: *maxBatches,
-			codec:      *uplinkCodec,
 			seed:       *seed,
 			server:     serverCfg,
 			filter:     filter,
@@ -216,7 +213,7 @@ func run(args []string) error {
 				ObsvAddr:          *obsvAddr,
 				TraceDepth:        *traceDepth,
 				Replication: replicationConfig(*replListen, *replicaOf, *peers,
-					*replPeers, *votePath, *replCodec, *replicaID, *replQuorum,
+					*replPeers, *votePath, *replicaID, *replQuorum,
 					*replLease, *replBeat, *maxMsg, *seed),
 			},
 		})
@@ -303,7 +300,6 @@ type edgeOptions struct {
 	edgeID     int
 	heartbeat  time.Duration
 	maxBatches int
-	codec      string
 	seed       int64
 	server     asyncfilter.ServerConfig
 	filter     *asyncfilter.Filter
@@ -325,7 +321,6 @@ func runEdge(opts edgeOptions) error {
 		HeartbeatEvery:    opts.heartbeat,
 		MaxPendingBatches: opts.maxBatches,
 		Seed:              opts.seed,
-		UplinkCodec:       opts.codec,
 	}, opts.filter)
 	if err != nil {
 		return err
@@ -372,7 +367,7 @@ func runEdge(opts edgeOptions) error {
 // replicationConfig assembles the root's replication config from the
 // flags; nil (replication disabled) unless -repl-listen or -replica-of
 // is set.
-func replicationConfig(replListen, replicaOf, peers, votePeers, votePath, codec string, id, quorum int, lease, beat time.Duration, maxMsg int64, seed int64) *asyncfilter.ReplicationConfig {
+func replicationConfig(replListen, replicaOf, peers, votePeers, votePath string, id, quorum int, lease, beat time.Duration, maxMsg int64, seed int64) *asyncfilter.ReplicationConfig {
 	if replListen == "" && replicaOf == "" {
 		return nil
 	}
@@ -388,7 +383,6 @@ func replicationConfig(replListen, replicaOf, peers, votePeers, votePath, codec 
 		Heartbeat:       beat,
 		MaxMessageBytes: maxMsg,
 		Seed:            seed,
-		Codec:           codec,
 	}
 }
 

@@ -1,6 +1,6 @@
 // Distributed deployment: run a real AsyncFilter-guarded aggregation
 // server and twelve federated clients (three of them malicious) as
-// separate goroutines talking gob-over-TCP across the loopback interface —
+// separate goroutines talking the binary frame protocol over loopback TCP —
 // the same server code the aflserver command deploys across machines.
 //
 // With -checkpoint the server persists its state; adding -kill-at N turns

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -487,5 +489,74 @@ func Test2MeansRejectsMoreNonIID(t *testing.T) {
 	}
 	if r2 == 0 {
 		t.Log("2-means rejected nothing; scenario may be too easy, but tolerance ordering still holds")
+	}
+}
+
+// An update whose own staleness group has no history is scored against
+// the nearest group that has one. When the groups one below and one
+// above are equally near, the lower staleness key is the reference, and
+// map iteration order must not decide it: many fresh filters fed the
+// same input must reach the same verdicts and the same state.
+func TestReferenceGroupTieIsDeterministic(t *testing.T) {
+	const dim = 4
+	vec := func(v, jitter float64) []float64 {
+		d := make([]float64, dim)
+		for i := range d {
+			d[i] = v + jitter*float64(i+1)
+		}
+		return d
+	}
+	run := func() ([]fl.Decision, []byte) {
+		f, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Below MinBatch, so accepted wholesale: groups 0 and 2 get two
+		// observations each, with opposite means.
+		history := []*fl.Update{
+			{ClientID: 1, Staleness: 0, Delta: vec(1, 0.01), NumSamples: 1},
+			{ClientID: 2, Staleness: 0, Delta: vec(1, -0.01), NumSamples: 1},
+			{ClientID: 3, Staleness: 2, Delta: vec(-1, 0.01), NumSamples: 1},
+			{ClientID: 4, Staleness: 2, Delta: vec(-1, -0.01), NumSamples: 1},
+		}
+		if _, err := f.Filter(history, 1); err != nil {
+			t.Fatal(err)
+		}
+		// Group 1 has no history: groups 0 and 2 tie as its reference.
+		var probe []*fl.Update
+		for i := 0; i < 8; i++ {
+			v := 1.0
+			if i >= 6 {
+				v = -1
+			}
+			probe = append(probe, &fl.Update{ClientID: 10 + i, Staleness: 1, Delta: vec(v, 0.002*float64(i%3+1)), NumSamples: 1})
+		}
+		res, err := f.Filter(probe, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := f.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Decisions, state
+	}
+
+	wantDec, wantState := run()
+	// Group 0 (mean +1) is the reference, so the two updates near -1 are
+	// the outliers.
+	for i, d := range wantDec {
+		if want := i < 6; (d == fl.Accept) != want {
+			t.Fatalf("decisions = %v, want the six +1 updates accepted and the two -1 updates not", wantDec)
+		}
+	}
+	for trial := 0; trial < 64; trial++ {
+		dec, state := run()
+		if !reflect.DeepEqual(dec, wantDec) {
+			t.Fatalf("trial %d: decisions %v, first run %v", trial, dec, wantDec)
+		}
+		if !bytes.Equal(state, wantState) {
+			t.Fatalf("trial %d: filter state differs from the first run", trial)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // Hierarchy experiment defaults: a small linear model on synthetic data
 // keeps each leg to a few seconds of wall clock while still pushing real
-// gob traffic, filtering and aggregation through loopback TCP.
+// wire traffic, filtering and aggregation through loopback TCP.
 const (
 	hierarchyClients      = 12
 	hierarchyMalicious    = 3

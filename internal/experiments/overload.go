@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -86,8 +85,8 @@ func (o *OverloadResult) Render() string {
 
 // RunOverload floods a real TCP transport server with far more updates
 // than its paced admission budget accepts and reports what the overload
-// machinery did about it. The flooders speak raw gob — no local training,
-// no NACK backoff — so the offered load is bounded only by loopback
+// machinery did about it. The flooders speak the frame protocol by hand —
+// no local training, no NACK backoff — so the offered load is bounded only by loopback
 // round-trips, roughly 10x what the per-client token buckets let through.
 func RunOverload(scale Scale) (*OverloadResult, error) {
 	scale = scale.withDefaults()
@@ -147,30 +146,30 @@ func RunOverload(scale Scale) (*OverloadResult, error) {
 	}, nil
 }
 
-// flood runs one raw-gob flooder: Hello, then resubmit a noise delta for
-// every task the server hands back, ignoring NACK pacing hints entirely.
+// flood runs one hand-driven flooder: Hello, then resubmit a noise delta
+// for every task the server hands back, ignoring NACK pacing hints
+// entirely.
 func flood(addr string, id int, seed int64) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	cc := transport.NewClientConn(conn)
 	rng := randx.New(seed)
 	delta := make([]float64, overloadDim)
 	for i := range delta {
 		delta[i] = 0.01 * rng.NormFloat64()
 	}
 	hello := transport.ClientMsg{Hello: &transport.Hello{
-		ClientID: id, NumSamples: 10, ModelDim: overloadDim,
+		ClientID: id, NumSamples: 10, ModelDim: overloadDim, Codec: transport.CodecBinary,
 	}}
-	if err := enc.Encode(&hello); err != nil {
+	if err := cc.Send(&hello); err != nil {
 		return err
 	}
 	for {
 		var msg transport.ServerMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := cc.Recv(&msg); err != nil {
 			return err
 		}
 		if msg.Done || msg.Goodbye {
@@ -183,7 +182,7 @@ func flood(addr string, id int, seed int64) error {
 			BaseVersion: msg.Task.Version,
 			Delta:       delta,
 		}}
-		if err := enc.Encode(&out); err != nil {
+		if err := cc.Send(&out); err != nil {
 			return err
 		}
 	}

@@ -281,7 +281,7 @@ func (n *Node) requestVote(addr string, epoch, lastSeq uint64) *transport.VoteGr
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	uc := transport.NewUpstreamConnCodec(conn, n.cfg.Codec, n.cfg.MaxMessageBytes, timeout, timeout)
+	uc := transport.NewUpstreamConn(conn, n.cfg.MaxMessageBytes, timeout, timeout)
 	req := &transport.ReplicaMsg{
 		Vote:  &transport.VoteRequest{CandidateID: n.cfg.NodeID, Epoch: epoch, LastSeq: lastSeq},
 		Epoch: n.root.Epoch(),

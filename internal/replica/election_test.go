@@ -129,7 +129,7 @@ func TestOutclassedCandidateStandsDown(t *testing.T) {
 			if err != nil {
 				return
 			}
-			uc := transport.NewUpstreamConn(conn, 0, time.Second, time.Second)
+			uc := transport.AcceptUpstreamConn(conn, 0, time.Second, time.Second)
 			if msg, err := uc.ReadReplica(); err == nil && msg.Vote != nil {
 				_ = uc.WritePrimary(&transport.PrimaryMsg{Grant: &transport.VoteGrant{
 					VoterID: 9, Epoch: msg.Vote.Epoch + 3, LastSeq: 99,

@@ -61,8 +61,8 @@ func (n *Node) acceptStandbys() {
 // push records (and heartbeats while idle) until the connection breaks
 // or the node stops.
 func (n *Node) handleStandby(conn net.Conn) {
-	// Acceptor side: the attaching standby's (or vote candidate's) first
-	// bytes negotiate gob or binary.
+	// Acceptor side: the first read checks the attaching standby's (or
+	// vote candidate's) preamble.
 	uc := transport.AcceptUpstreamConn(conn, n.cfg.MaxMessageBytes, n.cfg.ReadTimeout, n.cfg.WriteTimeout)
 	first, err := uc.ReadReplica()
 	if err != nil {

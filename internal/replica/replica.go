@@ -143,11 +143,11 @@ type Config struct {
 	RetryBaseDelay, RetryMaxDelay time.Duration
 	// Seed drives the reconnect jitter.
 	Seed int64
-	// Codec selects the replication wire codec (zero = gob, the legacy
-	// stream). transport.CodecBinary negotiates the binary frame
-	// envelope: attaching standbys and vote candidates announce it with
-	// the connection preamble, and every member's replication listener
-	// sniffs, so mixed-codec groups interoperate during a rollout.
+	// Codec is kept for source compatibility: zero and
+	// transport.CodecBinary both select the binary frame envelope, the
+	// only replication codec, and any other value is refused.
+	//
+	// Deprecated: replication always speaks the binary frame envelope.
 	Codec transport.Codec
 	// Dial overrides the replication dialer (tests inject faulty links).
 	Dial func(addr string) (net.Conn, error)
@@ -174,7 +174,7 @@ func (c *Config) Validate() error {
 	if c.MaxMessageBytes < 0 {
 		return fmt.Errorf("replica: Config: MaxMessageBytes = %d, need >= 0", c.MaxMessageBytes)
 	}
-	if c.Codec != transport.CodecGob && c.Codec != transport.CodecBinary {
+	if c.Codec != 0 && c.Codec != transport.CodecBinary {
 		return fmt.Errorf("replica: Config: unknown Codec %v", c.Codec)
 	}
 	if c.QuorumSize < 0 {

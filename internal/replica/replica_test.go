@@ -2,7 +2,9 @@ package replica
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -124,6 +126,7 @@ func TestConfigValidation(t *testing.T) {
 		{Lease: time.Second, Heartbeat: 2 * time.Second},
 		{MaxMessageBytes: -1},
 		{QuorumSize: -1},
+		{Codec: transport.CodecBinary + 1},
 		// Unwinnable: 3 grants can never arrive in a group of 2.
 		{QuorumSize: 3, VotePeers: []string{"127.0.0.1:1"}},
 	}
@@ -531,5 +534,53 @@ func TestStaleUpstreamFencedByStandby(t *testing.T) {
 	}
 	if v := sRoot.Version(); v != 0 {
 		t.Errorf("standby mirrored %d records from a stale primary", v)
+	}
+}
+
+// The replication listener refuses a connection that opens with a
+// retired gob peer's bytes — a standby's Hello or a candidate's vote
+// request — or with a wrong preamble version byte: it closes without a
+// reply, an attach or a vote, and without a panic.
+func TestReplicationListenerRefusesBadOpening(t *testing.T) {
+	node, _ := replNode(t, Config{
+		NodeID:     0,
+		ReplListen: "127.0.0.1:0",
+		Peers:      []string{"127.0.0.1:9001", "127.0.0.1:9002"},
+		Lease:      time.Second,
+	})
+	startNode(t, node)
+	gobOpening := func(msg *transport.ReplicaMsg) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	openings := map[string][]byte{
+		"gob-standby":   gobOpening(&transport.ReplicaMsg{Hello: &transport.ReplHello{NodeID: 1, NextSeq: 1}}),
+		"gob-candidate": gobOpening(&transport.ReplicaMsg{Vote: &transport.VoteRequest{CandidateID: 1, Epoch: 1}}),
+		"wrong-version": {0x00, 'A', 'F', 2, 0, 0, 0, 0, 0},
+	}
+	for name, opening := range openings {
+		conn, err := net.DialTimeout("tcp", node.ReplAddr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := io.ReadAll(conn)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("%s: replication listener kept the connection open", name)
+		}
+		if len(reply) != 0 {
+			t.Errorf("%s: replication listener replied %d bytes, want none", name, len(reply))
+		}
+		conn.Close()
+	}
+	if st := node.Stats(); st.StandbyAttaches != 0 || st.VotesGranted != 0 || st.VotesRefused != 0 {
+		t.Errorf("stats after bad openings = %+v, want no attach and no vote", st)
 	}
 }

@@ -91,7 +91,7 @@ func (n *Node) standbySession(conn net.Conn) error {
 		n.mu.Unlock()
 	}()
 
-	uc := transport.NewUpstreamConnCodec(conn, n.cfg.Codec, n.cfg.MaxMessageBytes, n.cfg.ReadTimeout, n.cfg.WriteTimeout)
+	uc := transport.NewUpstreamConn(conn, n.cfg.MaxMessageBytes, n.cfg.ReadTimeout, n.cfg.WriteTimeout)
 	hello := &transport.ReplicaMsg{Hello: &transport.ReplHello{
 		NodeID:   n.cfg.NodeID,
 		Epoch:    n.root.Epoch(),

@@ -61,10 +61,11 @@ type EdgeConfig struct {
 	// is full the oldest — stalest — batch is shed to admit the new one
 	// (0 selects 64).
 	MaxPendingBatches int
-	// UplinkCodec selects the uplink wire codec (zero = gob, the legacy
-	// stream). transport.CodecBinary negotiates the binary frame envelope
-	// via the connection preamble; the root sniffs and answers in kind,
-	// so mixed fleets of gob and binary edges coexist on one root.
+	// UplinkCodec is kept for source compatibility: zero and
+	// transport.CodecBinary both select the binary frame envelope, the
+	// only uplink codec, and any other value is refused.
+	//
+	// Deprecated: the uplink always speaks the binary frame envelope.
 	UplinkCodec transport.Codec
 	// Dial overrides how the uplink connects (nil = plain TCP). Tests plug
 	// in transport.FaultDialer to run the edge through a flaky network.
@@ -148,7 +149,7 @@ func NewEdge(cfg EdgeConfig, filter fl.Filter, combiner fl.Combiner) (*Edge, err
 	if cfg.Server.OnRoundCommitted != nil {
 		return nil, errors.New("topology: EdgeConfig: Server.OnRoundCommitted is owned by the edge")
 	}
-	if cfg.UplinkCodec != transport.CodecGob && cfg.UplinkCodec != transport.CodecBinary {
+	if cfg.UplinkCodec != 0 && cfg.UplinkCodec != transport.CodecBinary {
 		return nil, fmt.Errorf("topology: EdgeConfig: unknown UplinkCodec %v", cfg.UplinkCodec)
 	}
 	if cfg.UplinkReadTimeout == 0 {
@@ -312,7 +313,7 @@ func (e *Edge) uplink() {
 			}
 			continue
 		}
-		uc := transport.NewUpstreamConnCodec(conn, e.cfg.UplinkCodec, e.cfg.UplinkMaxMessageBytes, e.cfg.UplinkReadTimeout, e.cfg.UplinkWriteTimeout)
+		uc := transport.NewUpstreamConn(conn, e.cfg.UplinkMaxMessageBytes, e.cfg.UplinkReadTimeout, e.cfg.UplinkWriteTimeout)
 		err = e.session(uc, addr)
 		_ = uc.Close()
 		e.setLinkUp(false)

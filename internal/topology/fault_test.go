@@ -103,10 +103,11 @@ func TestTwoTierFaultInjection(t *testing.T) {
 			EdgeID:   id,
 			RootAddr: rootAddr,
 			Server:   serverCfg,
-			// ResetProb applies per low-level I/O op; gob batches an exchange
-			// into a handful of reads/writes, so 3% per op kills a meaningful
-			// fraction of exchanges mid-flight and the idempotent batch
-			// protocol has to absorb the resulting resends.
+			// ResetProb applies per low-level I/O op; an exchange is one
+			// frame write plus a header and a payload read, so 3% per op
+			// kills a meaningful fraction of exchanges mid-flight and the
+			// idempotent batch protocol has to absorb the resulting
+			// resends.
 			Dial: transport.FaultDialer(transport.FaultConfig{
 				Seed:      int64(31 + id),
 				ResetProb: 0.03,
@@ -178,10 +179,10 @@ func TestEdgeUplinkSurvivesFloodOfResets(t *testing.T) {
 		EdgeID:   0,
 		RootAddr: rootAddr,
 		Server:   edgeServerConfig(t, 2),
-		// Every connection dies after 20 I/O ops. gob buffers aggressively
-		// (an exchange is only a few low-level reads/writes), so this is
-		// enough budget for the hello plus a handful of batches before the
-		// link resets and the session has to start over.
+		// Every connection dies after 20 I/O ops. An exchange is one frame
+		// write plus a header and a payload read, so this is enough budget
+		// for the hello plus a handful of batches before the link resets
+		// and the session has to start over.
 		Dial: transport.FaultDialer(transport.FaultConfig{
 			Seed:          7,
 			ResetAfterOps: 20,

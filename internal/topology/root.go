@@ -414,7 +414,7 @@ func (r *Root) handle(conn net.Conn) {
 	}
 	defer r.untrackConn(conn)
 
-	// Acceptor side: the edge's first bytes negotiate gob or binary.
+	// Acceptor side: the first read checks the edge's preamble.
 	uc := transport.AcceptUpstreamConn(conn, r.cfg.MaxMessageBytes, r.cfg.ReadTimeout, r.cfg.WriteTimeout)
 	first, err := uc.ReadEdge()
 	if err != nil || first.Hello == nil {

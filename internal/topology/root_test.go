@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -361,5 +365,47 @@ func TestRootOrphanedHandoffAdopted(t *testing.T) {
 	stats := root.Stats()
 	if stats.HandoffsOrphaned != 1 || stats.HandoffsQueued != 1 || stats.HandoffsDelivered != 1 {
 		t.Errorf("orphan stats = %+v", stats)
+	}
+}
+
+// A connection that opens with a retired gob edge's bytes, or with a
+// wrong preamble version byte, is closed by the root without a reply, a
+// registration or a panic; a well-framed edge is still served.
+func TestRootRefusesBadOpening(t *testing.T) {
+	root, addr := startRoot(t, RootConfig{Rounds: 100}, nil)
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(&transport.EdgeMsg{Hello: &transport.EdgeHello{
+		EdgeID: 1, ModelDim: rootTestDim, ClientAddr: "127.0.0.1:1", NextBatch: 1,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	openings := map[string][]byte{
+		"gob-edge":      gobHello.Bytes(),
+		"wrong-version": {0x00, 'A', 'F', 2, 0, 0, 0, 0, 0},
+	}
+	for name, opening := range openings {
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := io.ReadAll(conn)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("%s: root kept the connection open", name)
+		}
+		if len(reply) != 0 {
+			t.Errorf("%s: root replied %d bytes, want none", name, len(reply))
+		}
+		conn.Close()
+	}
+	if st := root.Stats(); st.EdgesConnected != 0 || st.HandlerPanics != 0 {
+		t.Errorf("EdgesConnected = %d, HandlerPanics = %d, want 0 and 0", st.EdgesConnected, st.HandlerPanics)
+	}
+	if reply := dialRootT(t, addr).hello(1, 1); reply.Nack != 0 {
+		t.Errorf("well-framed edge refused after bad openings: %v", reply.Nack)
 	}
 }

@@ -7,16 +7,17 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 )
 
-// benchWireEdgeBatch drives one edge batch per iteration through an
-// initiator/acceptor UpstreamConn pair over an in-memory pipe — the
+// BenchmarkHotWireEdgeBatch drives one edge batch per iteration through
+// an initiator/acceptor UpstreamConn pair over an in-memory pipe — the
 // annotated //afl:hotpath wire codec end to end, write and read sides
-// both counted in allocs/op.
-func benchWireEdgeBatch(b *testing.B, codec Codec) {
+// both counted in allocs/op. It is gated against the committed BENCH_8
+// baseline by cmd/benchgate. Run via `make bench-hot`.
+func BenchmarkHotWireEdgeBatch(b *testing.B) {
 	const dim = 256
 	edgeConn, rootConn := net.Pipe()
 	defer edgeConn.Close()
 	defer rootConn.Close()
-	edge := NewUpstreamConnCodec(edgeConn, codec, 0, 0, 0)
+	edge := NewUpstreamConn(edgeConn, 0, 0, 0)
 	root := AcceptUpstreamConn(rootConn, 0, 0, 0)
 
 	msg := &EdgeMsg{Batch: &BatchMsg{
@@ -55,18 +56,4 @@ func benchWireEdgeBatch(b *testing.B, codec Codec) {
 		// anything before that would have stalled the writer anyway.
 		_ = err
 	}
-}
-
-// BenchmarkHotWireEdgeBatch measures the binary frame envelope — the
-// serving codec since ROADMAP item 2 — and is gated against the gob-era
-// BENCH_8 baseline by cmd/benchgate. Run via `make bench-hot`.
-func BenchmarkHotWireEdgeBatch(b *testing.B) {
-	benchWireEdgeBatch(b, CodecBinary)
-}
-
-// BenchmarkHotWireEdgeBatchGob measures the legacy gob stream over the
-// same pipe, keeping the rollback codec's cost visible next to the
-// binary numbers.
-func BenchmarkHotWireEdgeBatchGob(b *testing.B) {
-	benchWireEdgeBatch(b, CodecGob)
 }

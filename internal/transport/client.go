@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -71,14 +70,6 @@ type ClientConfig struct {
 	// Tests plug in FaultDialer here to run a client through a flaky
 	// network.
 	Dial func(addr string) (net.Conn, error)
-	// Codec selects the wire codec. The zero value is CodecGob — the
-	// legacy reflective stream, byte-identical to previous releases —
-	// so existing deployments (and the deterministic fault-injection
-	// schedules that count its I/O operations) are unaffected.
-	// CodecBinary negotiates the length-prefixed binary envelope via the
-	// connection preamble; the server answers in kind. Roll back to gob
-	// by leaving this zero (or passing -codec gob to the CLI).
-	Codec Codec
 }
 
 // ErrServerGoodbye is returned by Run and RunConn when the server said
@@ -125,9 +116,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.WriteTimeout < 0 {
 		return nil, fmt.Errorf("transport: NewClient: WriteTimeout = %v, need >= 0", cfg.WriteTimeout)
-	}
-	if cfg.Codec != CodecGob && cfg.Codec != CodecBinary {
-		return nil, fmt.Errorf("transport: NewClient: unknown codec %v", cfg.Codec)
 	}
 	atk, err := attack.New(cfg.Attack)
 	if err != nil {
@@ -237,72 +225,44 @@ func (c *Client) backoff(n int) time.Duration {
 	return BackoffDelay(jitter, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, n)
 }
 
-// clientWire abstracts the client side of a connection over the
-// negotiated codec: one encoder and one decoder whose concurrent use is
-// disciplined by the caller (a single writer — the protocol loop or the
-// connWriter goroutine — and a single reader).
-type clientWire interface {
-	// writeMsg transmits one client message.
-	writeMsg(msg *ClientMsg) error
-	// readMsg decodes the next server message into msg (which must be
-	// freshly zeroed; decoded task parameters may reuse a scratch buffer
-	// owned by the wire, valid until the next readMsg).
-	readMsg(msg *ServerMsg) error
-}
-
-// gobClientWire is the legacy reflective gob stream.
-type gobClientWire struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (w *gobClientWire) writeMsg(msg *ClientMsg) error {
-	//lint:ignore netdeadline forwarding wrapper: deadline policy belongs to the caller (startConnWriter arms the write before every flush)
-	return w.enc.Encode(msg)
-}
-
-func (w *gobClientWire) readMsg(msg *ServerMsg) error {
-	//lint:ignore netdeadline forwarding wrapper: the protocol read loop in RunConn owns the (deliberately unarmed) read policy
-	return w.dec.Decode(msg)
-}
-
-// binClientWire is the binary frame envelope. Task parameters decode
-// into a reused scratch slab: the protocol loop copies them into the
-// local model (model.SetParams copies) and never retains the slice.
-type binClientWire struct {
+// ClientConn is the client side of one connection: the preamble, the
+// frame encoder and the frame decoder. It arms no deadlines; its caller
+// owns the net.Conn's deadline policy. Writes and reads may run on two
+// goroutines (one writer, one reader), never more. Client speaks
+// through it, and so can load generators that drive the protocol by
+// hand.
+type ClientConn struct {
 	bin    *binConn
 	params []float64
 }
 
-func (w *binClientWire) writeMsg(msg *ClientMsg) error { return w.bin.writeClientMsg(msg) }
+// NewClientConn dresses the initiating side of a client connection. The
+// first Send carries the connection preamble.
+func NewClientConn(conn net.Conn) *ClientConn {
+	return &ClientConn{bin: newInitiator(conn, 0)}
+}
 
-// readMsg owns the scratch slab it threads through readServerMsg; the
-// decoded Task aliases it only until the next call, and the protocol
-// loop copies parameters into the model before reading again.
+// Send transmits one client message in one write.
+func (c *ClientConn) Send(msg *ClientMsg) error { return c.bin.writeClientMsg(msg) }
+
+// Recv decodes the next server message into msg. Task parameters decode
+// into a scratch slab the ClientConn owns: the decoded Task aliases it
+// only until the next Recv, so callers copy what they keep (the
+// protocol loop copies parameters into the model before reading again).
 //
 //afl:owned
-func (w *binClientWire) readMsg(msg *ServerMsg) error {
-	params, err := w.bin.readServerMsg(msg, w.params)
-	w.params = params
+func (c *ClientConn) Recv(msg *ServerMsg) error {
+	params, err := c.bin.readServerMsg(msg, c.params)
+	c.params = params
 	return err
 }
 
-// newClientWire builds the wire for one established connection. A binary
-// client announces itself with the connection preamble before its first
-// frame; a gob client's byte stream is identical to previous releases.
-func newClientWire(conn net.Conn, codec Codec) clientWire {
-	if codec == CodecBinary {
-		return &binClientWire{bin: newBinConn(conn, 0, true)}
-	}
-	return &gobClientWire{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
 // connWriter owns all writes on a client connection. Heartbeats must go
-// out while the main loop is busy training, and neither a gob encoder
-// nor the binary framing state is safe for concurrent writers, so every
-// outbound message funnels through one writer goroutine via a buffered
-// queue — no lock is ever held around the blocking encode. A failed
-// encode closes the connection so the reader side unblocks too.
+// out while the main loop is busy training, and the framing state is not
+// safe for concurrent writers, so every outbound message funnels through
+// one writer goroutine via a buffered queue — no lock is ever held
+// around the blocking encode. A failed encode closes the connection so
+// the reader side unblocks too.
 type connWriter struct {
 	queue chan *ClientMsg
 	dead  chan struct{}
@@ -310,7 +270,7 @@ type connWriter struct {
 	wg    sync.WaitGroup
 }
 
-func startConnWriter(conn net.Conn, wire clientWire, writeTimeout time.Duration) *connWriter {
+func startConnWriter(conn net.Conn, wire *ClientConn, writeTimeout time.Duration) *connWriter {
 	w := &connWriter{
 		queue: make(chan *ClientMsg, 8),
 		dead:  make(chan struct{}),
@@ -328,7 +288,7 @@ func startConnWriter(conn net.Conn, wire clientWire, writeTimeout time.Duration)
 				if writeTimeout > 0 {
 					_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				}
-				if err := wire.writeMsg(msg); err != nil {
+				if err := wire.Send(msg); err != nil {
 					// Unblock the decode loop: a one-sided write failure
 					// must not leave the client hanging on a read.
 					_ = conn.Close()
@@ -371,7 +331,7 @@ func (w *connWriter) close() {
 // transport error is returned for the caller (Run) to decide whether to
 // reconnect.
 func (c *Client) RunConn(conn net.Conn) error {
-	wire := newClientWire(conn, c.cfg.Codec)
+	wire := NewClientConn(conn)
 
 	m, err := model.New(c.cfg.Model)
 	if err != nil {
@@ -414,7 +374,7 @@ func (c *Client) RunConn(conn net.Conn) error {
 			if c.cfg.WriteTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 			}
-			return wire.writeMsg(msg)
+			return wire.Send(msg)
 		}
 	}
 
@@ -422,7 +382,7 @@ func (c *Client) RunConn(conn net.Conn) error {
 		ClientID:   c.cfg.ID,
 		NumSamples: c.cfg.Data.Len(),
 		ModelDim:   m.NumParams(),
-		Codec:      c.cfg.Codec,
+		Codec:      CodecBinary,
 	}}
 	if err := send(hello); err != nil {
 		return fmt.Errorf("transport: hello: %w", err)
@@ -431,7 +391,7 @@ func (c *Client) RunConn(conn net.Conn) error {
 	for {
 		var msg ServerMsg
 		//lint:ignore netdeadline the protocol read blocks on the server's task schedule by design; lease heartbeats (not deadlines) bound liveness here
-		if err := wire.readMsg(&msg); err != nil {
+		if err := wire.Recv(&msg); err != nil {
 			return fmt.Errorf("transport: receive: %w", err)
 		}
 		if len(msg.Shards) > 0 && msg.ShardVersion > c.shardVersion {

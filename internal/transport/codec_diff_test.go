@@ -16,11 +16,12 @@ import (
 // This file is the differential codec suite: for every wire envelope, a
 // randomized message encoded by the binary codec and decoded by its
 // binary reader must be reflect.DeepEqual to the SAME message round-
-// tripped through the legacy gob stream. Gob is the reference semantics
-// (it has been fuzz-hardened since PR 1), so any divergence — a dropped
-// field, a sign flip, a nil-vs-empty mismatch — fails here before it can
-// ship. Generators use finite floats because reflect.DeepEqual cannot
-// compare NaN; bit-exactness of non-finite slabs has its own test below.
+// tripped through an in-memory gob encoding. Gob is the reference
+// decoder here (reflective, field by field, independent of the frame
+// code), so any divergence — a dropped field, a sign flip, a
+// nil-vs-empty mismatch — fails here before it can ship. Generators use
+// finite floats because reflect.DeepEqual cannot compare NaN;
+// bit-exactness of non-finite slabs has its own test below.
 
 // diffTrials is the number of randomized messages per direction. The
 // suite runs under -race in make check, so keep it brisk.
@@ -43,9 +44,7 @@ func gobRT(t *testing.T, v, out any) {
 // (no preamble: the test drives frames directly).
 func binPair(max int64) (*binConn, *binConn) {
 	var buf bytes.Buffer
-	w := newBinConn(&buf, max, false)
-	r := newBinConn(&buf, max, false)
-	return w, r
+	return &binConn{w: &buf, max: max}, &binConn{r: &buf, max: max}
 }
 
 // genVec returns a finite random vector of the given length (nil when
@@ -260,21 +259,15 @@ func TestDifferentialClientToServer(t *testing.T) {
 		if err := bw.writeClientMsg(msg); err != nil {
 			t.Fatalf("trial %d: binary write: %v", i, err)
 		}
-		wire := &binServerWire{bin: br, srv: srv}
+		wire := &serverWire{bin: br, srv: srv}
 		got, err := wire.readMsg()
 		if err != nil {
 			t.Fatalf("trial %d: binary read: %v", i, err)
 		}
 
-		var gbuf bytes.Buffer
-		gw := newGobServerWire(&gbuf, &gbuf, 0)
-		if err := gob.NewEncoder(&gbuf).Encode(msg); err != nil {
-			t.Fatalf("trial %d: gob write: %v", i, err)
-		}
-		want, err := gw.readMsg()
-		if err != nil {
-			t.Fatalf("trial %d: gob read: %v", i, err)
-		}
+		var ref ClientMsg
+		gobRT(t, msg, &ref)
+		want := frameOf(&ref)
 
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: codecs disagree on %+v:\n binary: %+v\n    gob: %+v", i, msg, got, want)
@@ -440,7 +433,7 @@ func TestBinarySlabBitPatterns(t *testing.T) {
 		if err := bw.writeClientMsg(msg); err != nil {
 			t.Fatal(err)
 		}
-		wire := &binServerWire{bin: br, srv: &Server{arena: fl.NewArena(len(slab))}}
+		wire := &serverWire{bin: br, srv: &Server{arena: fl.NewArena(len(slab))}}
 		frame, err := wire.readMsg()
 		if err != nil {
 			t.Fatal(err)

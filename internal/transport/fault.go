@@ -36,7 +36,7 @@ type FaultConfig struct {
 	Delay time.Duration
 	// PartialWriteProb is the probability that a write transmits only a
 	// prefix of its buffer before resetting the connection, leaving the
-	// peer a truncated gob message.
+	// peer a truncated frame.
 	PartialWriteProb float64
 	// DupWriteProb is the probability that a write's payload is
 	// transmitted twice back-to-back — a retransmitting middlebox

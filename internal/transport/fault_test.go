@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"net"
@@ -133,10 +132,8 @@ func TestClientRejectsWrongCraftCardinality(t *testing.T) {
 	clientConn, serverConn := net.Pipe()
 	defer serverConn.Close()
 	go func() {
-		dec := gob.NewDecoder(serverConn)
-		enc := gob.NewEncoder(serverConn)
-		var hello ClientMsg
-		if err := dec.Decode(&hello); err != nil {
+		bin := newAcceptor(serverConn, 0)
+		if _, _, err := bin.readFrame(); err != nil { // the Hello
 			return
 		}
 		m, err := model.New(testModelConfig())
@@ -145,7 +142,7 @@ func TestClientRejectsWrongCraftCardinality(t *testing.T) {
 		}
 		params := make([]float64, m.NumParams())
 		m.Params(params)
-		_ = enc.Encode(&ServerMsg{Task: &Task{Version: 0, Params: params}})
+		_ = bin.writeServerMsg(&ServerMsg{Task: &Task{Version: 0, Params: params}})
 	}()
 
 	err = client.RunConn(clientConn)
@@ -301,18 +298,17 @@ func TestServerRejectsOversizeMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10}}); err != nil {
+	cc := NewClientConn(conn)
+	if err := cc.Send(&ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, Codec: CodecBinary}}); err != nil {
 		t.Fatal(err)
 	}
 	var task ServerMsg
-	if err := dec.Decode(&task); err != nil {
+	if err := cc.Recv(&task); err != nil {
 		t.Fatal(err)
 	}
 	// 16k floats ≈ 128KB on the wire: far past the 2KB budget.
 	huge := ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: make([]float64, 16384)}}
-	_ = enc.Encode(&huge) // the server closes the conn partway through
+	_ = cc.Send(&huge) // the server closes the conn partway through
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

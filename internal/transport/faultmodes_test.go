@@ -107,7 +107,7 @@ func TestFaultConnReadStallOneShot(t *testing.T) {
 
 // A deployment whose flaky clients suffer duplicated, reordered and
 // silently dropped writes must still complete: duplicates are absorbed as
-// redundant updates, mangled gob streams kill the connection and the
+// redundant updates, mangled frame streams kill the connection and the
 // client reconnects, and a dropped message is broken out of by the
 // server's read deadline.
 func TestDeploymentSurvivesLossyWrites(t *testing.T) {

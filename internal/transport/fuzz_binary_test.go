@@ -9,20 +9,19 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 )
 
-// This file fuzzes the binary frame codec the same way the gob fuzzers
-// drive the legacy stream: adversarial bytes against every direction's
-// decoder must yield typed errors — ErrBadFrame, ErrMessageTooLarge, or
-// a short-read io error — never a panic, never unbounded allocation (the
-// byte budget is checked before the payload buffer exists, and hostile
-// update counts and slab dimensions are bounded by the bytes actually on
-// the wire).
+// This file fuzzes the raw frame decoders below the preamble:
+// adversarial bytes against every direction's decoder must yield typed
+// errors — ErrBadFrame, ErrMessageTooLarge, or a short-read io error —
+// never a panic, never unbounded allocation (the byte budget is checked
+// before the payload buffer exists, and hostile update counts and slab
+// dimensions are bounded by the bytes actually on the wire).
 
 // binSeed records the frames an encode function emits, giving the fuzzer
 // structurally valid binary streams to mutate.
 func binSeed(t testing.TB, encode func(*binConn) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encode(newBinConn(&buf, 0, false)); err != nil {
+	if err := encode(&binConn{w: &buf}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -42,13 +41,14 @@ func binReader(r io.Reader, max int64) *binConn {
 // drop: a structural frame error, the oversize trip, or a short read.
 func binFuzzTypedError(err error) bool {
 	return errors.Is(err, ErrBadFrame) ||
+		errors.Is(err, ErrBadPreamble) ||
 		errors.Is(err, ErrMessageTooLarge) ||
 		errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// binFuzzSeeds is one valid stream per raw frame kind plus gob-fallback
-// frames, across all six directions.
+// binFuzzSeeds is one valid stream per raw frame kind plus gob-in-frame
+// control messages, across all six directions.
 func binFuzzSeeds(f testing.TB) [][]byte {
 	f.Helper()
 	slab := []float64{1.5, -2.25, 0, 3e300}
@@ -149,7 +149,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 			}
 		}
 		decodeAll("client->server", func(bin *binConn) error {
-			wire := &binServerWire{bin: bin, srv: srv}
+			wire := &serverWire{bin: bin, srv: srv}
 			frame, err := wire.readMsg()
 			if err == nil && frame.hasUpdate {
 				srv.arena.PutVec(frame.delta)
@@ -188,7 +188,7 @@ func TestBinaryFuzzSeedsDecode(t *testing.T) {
 	seeds := binFuzzSeeds(t)
 	readers := []func(*binConn) error{
 		func(bin *binConn) error {
-			wire := &binServerWire{bin: bin, srv: &Server{arena: fl.NewArena(4)}}
+			wire := &serverWire{bin: bin, srv: &Server{arena: fl.NewArena(4)}}
 			_, err := wire.readMsg()
 			return err
 		},

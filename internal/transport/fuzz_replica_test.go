@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
@@ -12,13 +11,13 @@ import (
 
 // recordedReplicaSession encodes the standby->primary half of a realistic
 // replication session — attach Hello, per-push acknowledgements, a
-// re-attach Hello demanding a full sync — through the production gob
-// path, so the fuzzer starts from bytes a real deployment would put on
-// the replication wire.
+// re-attach Hello demanding a full sync — through the standby's
+// production UpstreamConn, preamble included, so the fuzzer starts from
+// bytes a real deployment would put on the replication wire.
 func recordedReplicaSession(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := newByteConn(nil)
+	uc := NewUpstreamConn(conn, 0, 0, 0)
 	msgs := []ReplicaMsg{
 		{Hello: &ReplHello{NodeID: 1, Epoch: 0, NextSeq: 1}},
 		{AckSeq: 1, Epoch: 0},
@@ -29,14 +28,15 @@ func recordedReplicaSession(t testing.TB) []byte {
 		{AckSeq: 3, Epoch: 2},
 	}
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
+		if err := uc.WriteReplica(&msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	return conn.out.Bytes()
 }
 
-// recordedPrimarySession encodes the primary->standby half: a full
+// recordedPrimarySession encodes the primary->standby half through the
+// primary's production UpstreamConn: a full
 // checkpoint snapshot, an initial log record carrying a complete filter
 // snapshot, an incremental record carrying a mergeable CMA delta,
 // heartbeats, a fencing nack and a clean goodbye.
@@ -72,8 +72,8 @@ func recordedPrimarySession(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := newByteConn(nil)
+	uc := AcceptUpstreamConn(conn, 0, 0, 0)
 	msgs := []PrimaryMsg{
 		{Snapshot: snapshot, Epoch: 1, LatestSeq: 1},
 		{Record: &ReplRecord{
@@ -91,34 +91,36 @@ func recordedPrimarySession(t testing.TB) []byte {
 		{Goodbye: true, Epoch: 1, LatestSeq: 3},
 	}
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
+		if err := uc.WritePrimary(&msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	return conn.out.Bytes()
 }
 
-// FuzzDecodeReplicaMsg drives the primary's replication decode path — a
-// gob decoder behind the byte-budget limitReader, exactly as the standby
-// handler builds it — with adversarial bytes. Same contract as the other
+// FuzzDecodeReplicaMsg drives the primary's replication decode path — the
+// acceptor UpstreamConn, preamble check and frame decoder behind the byte
+// budget, exactly as the standby handler builds it — with adversarial
+// bytes. Same contract as the other
 // wire fuzzers: typed errors or decoded messages, never a panic, never
 // unbounded memory.
 func FuzzDecodeReplicaMsg(f *testing.F) {
 	session := recordedReplicaSession(f)
 	f.Add(session)
-	f.Add(session[:len(session)/2])    // truncated mid-message
-	f.Add(session[1:])                 // missing type preamble
+	f.Add(session[:len(session)/2])    // truncated mid-frame
+	f.Add(session[len(preamble):])     // missing preamble
 	f.Add([]byte{})                    // empty stream
 	f.Add([]byte{0xff, 0xff, 0xff})    // junk length prefix
 	f.Add(bytes.Repeat([]byte{5}, 64)) // repetitive garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lim := newLimitReader(bytes.NewReader(data), 1<<16)
-		dec := gob.NewDecoder(lim)
+		uc := AcceptUpstreamConn(newByteConn(data), binFuzzBudget, 0, 0)
 		for i := 0; i < 16; i++ {
-			lim.reset()
-			var msg ReplicaMsg
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := uc.ReadReplica()
+			if err != nil {
+				if !binFuzzTypedError(err) {
+					t.Fatalf("untyped error %v", err)
+				}
 				return // typed error: the primary drops the standby here
 			}
 			// Mirror what the primary does with a decoded message: hello
@@ -145,12 +147,13 @@ func FuzzDecodePrimaryMsg(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xCD}, 48))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lim := newLimitReader(bytes.NewReader(data), 1<<16)
-		dec := gob.NewDecoder(lim)
+		uc := NewUpstreamConn(newByteConn(data), binFuzzBudget, 0, 0)
 		for i := 0; i < 16; i++ {
-			lim.reset()
-			var msg PrimaryMsg
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := uc.ReadPrimary()
+			if err != nil {
+				if !binFuzzTypedError(err) {
+					t.Fatalf("untyped error %v", err)
+				}
 				return // typed error: the standby rotates upstreams here
 			}
 			if len(msg.Snapshot) > 0 {
@@ -179,13 +182,11 @@ func FuzzDecodePrimaryMsg(f *testing.F) {
 // production decode stack, including the checkpoint container and the
 // filter-state payloads the records carry.
 func TestReplicaFuzzSeedsDecode(t *testing.T) {
-	lim := newLimitReader(bytes.NewReader(recordedReplicaSession(t)), 1<<16)
-	dec := gob.NewDecoder(lim)
+	primary := AcceptUpstreamConn(newByteConn(recordedReplicaSession(t)), binFuzzBudget, 0, 0)
 	hellos := 0
 	for i := 0; i < 5; i++ {
-		lim.reset()
-		var msg ReplicaMsg
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := primary.ReadReplica()
+		if err != nil {
 			t.Fatalf("replica session message %d: %v", i, err)
 		}
 		if msg.Hello != nil {
@@ -199,13 +200,11 @@ func TestReplicaFuzzSeedsDecode(t *testing.T) {
 		t.Fatalf("replica session decoded %d hellos, want 2", hellos)
 	}
 
-	lim = newLimitReader(bytes.NewReader(recordedPrimarySession(t)), 1<<16)
-	dec = gob.NewDecoder(lim)
+	standby := NewUpstreamConn(newByteConn(recordedPrimarySession(t)), binFuzzBudget, 0, 0)
 	records := 0
 	for i := 0; i < 6; i++ {
-		lim.reset()
-		var msg PrimaryMsg
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := standby.ReadPrimary()
+		if err != nil {
 			t.Fatalf("primary session message %d: %v", i, err)
 		}
 		if len(msg.Snapshot) > 0 {

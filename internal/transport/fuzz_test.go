@@ -4,66 +4,102 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+
+	"github.com/asyncfl/asyncfilter/internal/fl"
 )
 
-// fuzzSeed gob-encodes a sequence of client messages the way a real
-// client stream would, giving the fuzzer structurally valid starting
+// byteConn is a net.Conn over an in-memory byte stream: reads drain the
+// stream, writes are recorded. It lets the fuzzers and their seed
+// recorders drive the production connection types (ClientConn,
+// UpstreamConn, serverWire) without sockets.
+type byteConn struct {
+	nopConn
+	in  bytes.Reader
+	out bytes.Buffer
+}
+
+func newByteConn(data []byte) *byteConn {
+	c := &byteConn{}
+	c.in.Reset(data)
+	return c
+}
+
+func (c *byteConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *byteConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+
+// recordedClientSession sends a sequence of client messages through a
+// production ClientConn and returns the bytes it put on the wire,
+// preamble included, giving the fuzzer structurally valid starting
 // points to mutate.
-func fuzzSeed(t testing.TB, msgs ...ClientMsg) []byte {
+func recordedClientSession(t testing.TB, msgs ...ClientMsg) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := newByteConn(nil)
+	cc := NewClientConn(conn)
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
+		if err := cc.Send(&msgs[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return conn.out.Bytes()
+}
+
+// gobOpening gob-encodes v the way a peer of the retired gob stream
+// opened its connection: no preamble, type descriptors first.
+func gobOpening(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzDecodeClientMsg drives the server's wire-decode path — a gob
-// decoder behind the byte-budget limitReader, exactly as handle() builds
-// it — with adversarial bytes. The contract under fuzzing: every input
-// yields either decoded messages or an error; never a panic, and never
-// unbounded memory (the limiter trips first). Malformed streams map to
-// DroppedMalformed at the call sites; here we only assert the decode
-// layer's memory- and panic-safety.
+// legacyClientHello is a gob-stream client's Hello.
+var legacyClientHello = &ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, ModelDim: 8}}
+
+// FuzzDecodeClientMsg drives the server's wire-decode path — the
+// preamble check and frame decoder behind the byte budget, exactly as
+// handle() builds them — with adversarial bytes. The contract under
+// fuzzing: every input yields either decoded messages or a typed error;
+// never a panic, and never unbounded memory (the budget trips before
+// allocation). Malformed streams map to DroppedMalformed at the call
+// sites; here we only assert the decode layer's memory- and
+// panic-safety.
 func FuzzDecodeClientMsg(f *testing.F) {
-	f.Add(fuzzSeed(f, ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, ModelDim: 8}}))
-	f.Add(fuzzSeed(f,
-		ClientMsg{Hello: &Hello{ClientID: 3, NumSamples: 40, ModelDim: 4}},
+	f.Add(recordedClientSession(f, ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, ModelDim: 8, Codec: CodecBinary}}))
+	f.Add(recordedClientSession(f,
+		ClientMsg{Hello: &Hello{ClientID: 3, NumSamples: 40, ModelDim: 4, Codec: CodecBinary}},
 		ClientMsg{Update: &UpdateMsg{BaseVersion: 2, Delta: []float64{0.25, -1, 3.5, 0}}},
 		ClientMsg{Heartbeat: true},
 	))
-	full := fuzzSeed(f, ClientMsg{Update: &UpdateMsg{BaseVersion: 1, Delta: []float64{1, 2, 3}}})
-	f.Add(full[:len(full)/2])          // truncated mid-message
-	f.Add(full[1:])                    // missing type preamble
-	f.Add([]byte{})                    // empty stream
-	f.Add([]byte{0xff, 0xff, 0xff})    // junk length prefix
-	f.Add(bytes.Repeat([]byte{7}, 64)) // repetitive garbage
+	full := recordedClientSession(f, ClientMsg{Update: &UpdateMsg{BaseVersion: 1, Delta: []float64{1, 2, 3}}})
+	f.Add(full[:len(full)/2])               // truncated mid-frame
+	f.Add(full[len(preamble):])             // missing preamble
+	f.Add(gobOpening(f, legacyClientHello)) // a retired gob client's opening
+	f.Add([]byte{})                         // empty stream
+	f.Add(bytes.Repeat([]byte{7}, 64))      // repetitive garbage
 
+	srv := &Server{arena: fl.NewArena(4)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lim := newLimitReader(bytes.NewReader(data), 1<<16)
-		dec := gob.NewDecoder(lim)
-		// A connection decodes many messages through one decoder with the
-		// budget reset per message; bound the loop so a stream of tiny
-		// valid messages still terminates.
+		wire := &serverWire{bin: newAcceptor(newByteConn(data), binFuzzBudget), srv: srv}
+		// A connection decodes many frames through one wire; bound the
+		// loop so a stream of tiny valid frames still terminates.
 		for i := 0; i < 16; i++ {
-			lim.reset()
-			var msg ClientMsg
-			if err := dec.Decode(&msg); err != nil {
-				if lim.tripped() && err == nil {
-					t.Fatal("limiter tripped without a decode error")
+			msg, err := wire.readMsg()
+			if err != nil {
+				if !binFuzzTypedError(err) {
+					t.Fatalf("untyped error %v", err)
 				}
 				return // typed error: the server drops the connection here
 			}
 			// Mirror the nil-checks the handler performs on a decoded
 			// message so a fuzzed payload can't find a nil-deref there.
 			switch {
-			case msg.Hello != nil:
-				_ = msg.Hello.ClientID + msg.Hello.NumSamples + msg.Hello.ModelDim
-			case msg.Update != nil:
-				_ = msg.Update.BaseVersion + len(msg.Update.Delta)
+			case msg.hello != nil:
+				_ = msg.hello.ClientID + msg.hello.NumSamples + msg.hello.ModelDim
+			case msg.hasUpdate:
+				_ = msg.baseVersion
+				srv.arena.PutVec(msg.delta)
 			}
 		}
 	})
@@ -72,17 +108,14 @@ func FuzzDecodeClientMsg(f *testing.F) {
 // The seed corpus itself must decode cleanly end to end — guards against
 // the seeds rotting if the wire format changes.
 func TestFuzzSeedsDecode(t *testing.T) {
-	data := fuzzSeed(t,
-		ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, ModelDim: 8}},
+	data := recordedClientSession(t,
+		ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 10, ModelDim: 8, Codec: CodecBinary}},
 		ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: []float64{1, 2}}},
 		ClientMsg{Heartbeat: true},
 	)
-	lim := newLimitReader(bytes.NewReader(data), 1<<16)
-	dec := gob.NewDecoder(lim)
+	wire := &serverWire{bin: newAcceptor(newByteConn(data), binFuzzBudget), srv: &Server{arena: fl.NewArena(4)}}
 	for i := 0; i < 3; i++ {
-		lim.reset()
-		var msg ClientMsg
-		if err := dec.Decode(&msg); err != nil {
+		if _, err := wire.readMsg(); err != nil {
 			t.Fatalf("seed message %d: %v", i, err)
 		}
 	}

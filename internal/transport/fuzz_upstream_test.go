@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
@@ -13,8 +12,8 @@ import (
 // recordedEdgeSession encodes the edge->root half of a realistic two-tier
 // session — Hello, a filtered batch carrying a real checkpoint-encoded
 // filter snapshot, a replayed batch after a reconnect Hello, heartbeats —
-// through the production gob path, so the fuzzer starts from bytes an
-// actual deployment would put on the wire.
+// through the edge's production UpstreamConn, preamble included, so the
+// fuzzer starts from bytes an actual deployment would put on the wire.
 func recordedEdgeSession(t testing.TB) []byte {
 	t.Helper()
 	filter, err := core.New(core.DefaultConfig())
@@ -39,8 +38,8 @@ func recordedEdgeSession(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := newByteConn(nil)
+	uc := NewUpstreamConn(conn, 0, 0, 0)
 	msgs := []EdgeMsg{
 		{Hello: &EdgeHello{EdgeID: 1, ModelDim: 3, ClientAddr: "127.0.0.1:9101", NextBatch: 1}},
 		{Batch: &BatchMsg{BatchID: 1, EdgeVersion: 1, Updates: batch, FilterState: state}},
@@ -51,16 +50,16 @@ func recordedEdgeSession(t testing.TB) []byte {
 		{Heartbeat: true},
 	}
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
+		if err := uc.WriteEdge(&msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	return conn.out.Bytes()
 }
 
-// recordedRootSession encodes the root->edge half: task pushes with acks,
-// a shard-map push, and a filter-state handoff in the checkpoint container
-// format.
+// recordedRootSession encodes the root->edge half through the root's
+// production UpstreamConn: task pushes with acks, a shard-map push, and a
+// filter-state handoff in the checkpoint container format.
 func recordedRootSession(t testing.TB) []byte {
 	t.Helper()
 	filter, err := core.New(core.DefaultConfig())
@@ -85,8 +84,8 @@ func recordedRootSession(t testing.TB) []byte {
 		{EdgeID: 2, Addr: "127.0.0.1:9102"},
 	}}
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := newByteConn(nil)
+	uc := AcceptUpstreamConn(conn, 0, 0, 0)
 	msgs := []RootMsg{
 		{Task: &Task{Version: 0, Params: []float64{0, 0, 0}}, Shards: shards},
 		{Task: &Task{Version: 1, Params: []float64{0.5, -1, 2}}, Ack: 1},
@@ -96,33 +95,35 @@ func recordedRootSession(t testing.TB) []byte {
 		{Goodbye: true},
 	}
 	for i := range msgs {
-		if err := enc.Encode(&msgs[i]); err != nil {
+		if err := uc.WriteRoot(&msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	return conn.out.Bytes()
 }
 
-// FuzzDecodeEdgeMsg drives the root's wire-decode path — a gob decoder
-// behind the byte-budget limitReader, exactly as the root session builds
-// it — with adversarial bytes. Same contract as FuzzDecodeClientMsg:
-// typed errors or decoded messages, never a panic, never unbounded memory.
+// FuzzDecodeEdgeMsg drives the root's wire-decode path — the acceptor
+// UpstreamConn, preamble check and frame decoder behind the byte budget,
+// exactly as the root session builds it — with adversarial bytes. Same
+// contract as FuzzDecodeClientMsg: typed errors or decoded messages,
+// never a panic, never unbounded memory.
 func FuzzDecodeEdgeMsg(f *testing.F) {
 	session := recordedEdgeSession(f)
 	f.Add(session)
-	f.Add(session[:len(session)/2])    // truncated mid-message
-	f.Add(session[1:])                 // missing type preamble
+	f.Add(session[:len(session)/2])    // truncated mid-frame
+	f.Add(session[len(preamble):])     // missing preamble
 	f.Add([]byte{})                    // empty stream
 	f.Add([]byte{0xff, 0xff, 0xff})    // junk length prefix
 	f.Add(bytes.Repeat([]byte{7}, 64)) // repetitive garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lim := newLimitReader(bytes.NewReader(data), 1<<16)
-		dec := gob.NewDecoder(lim)
+		uc := AcceptUpstreamConn(newByteConn(data), binFuzzBudget, 0, 0)
 		for i := 0; i < 16; i++ {
-			lim.reset()
-			var msg EdgeMsg
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := uc.ReadEdge()
+			if err != nil {
+				if !binFuzzTypedError(err) {
+					t.Fatalf("untyped error %v", err)
+				}
 				return // typed error: the root drops the connection here
 			}
 			// Mirror the nil-checks the root session performs, plus the
@@ -166,13 +167,14 @@ func FuzzDecodeRootMsg(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAB}, 48))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lim := newLimitReader(bytes.NewReader(data), 1<<16)
-		dec := gob.NewDecoder(lim)
+		uc := NewUpstreamConn(newByteConn(data), binFuzzBudget, 0, 0)
 		for i := 0; i < 16; i++ {
-			lim.reset()
-			var msg RootMsg
-			if err := dec.Decode(&msg); err != nil {
-				return
+			msg, err := uc.ReadRoot()
+			if err != nil {
+				if !binFuzzTypedError(err) {
+					t.Fatalf("untyped error %v", err)
+				}
+				return // typed error: the edge redials here
 			}
 			if msg.Task != nil {
 				_ = len(msg.Task.Params)
@@ -199,13 +201,11 @@ func FuzzDecodeRootMsg(f *testing.F) {
 // rot: both halves must decode cleanly end to end through the production
 // decode stack, including the embedded checkpoint containers.
 func TestUpstreamFuzzSeedsDecode(t *testing.T) {
-	lim := newLimitReader(bytes.NewReader(recordedEdgeSession(t)), 1<<16)
-	dec := gob.NewDecoder(lim)
+	root := AcceptUpstreamConn(newByteConn(recordedEdgeSession(t)), binFuzzBudget, 0, 0)
 	batches := 0
 	for i := 0; i < 6; i++ {
-		lim.reset()
-		var msg EdgeMsg
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := root.ReadEdge()
+		if err != nil {
 			t.Fatalf("edge session message %d: %v", i, err)
 		}
 		if msg.Batch != nil {
@@ -227,13 +227,11 @@ func TestUpstreamFuzzSeedsDecode(t *testing.T) {
 		t.Fatalf("edge session decoded %d batches, want 2", batches)
 	}
 
-	lim = newLimitReader(bytes.NewReader(recordedRootSession(t)), 1<<16)
-	dec = gob.NewDecoder(lim)
+	edge := NewUpstreamConn(newByteConn(recordedRootSession(t)), binFuzzBudget, 0, 0)
 	handoffs := 0
 	for i := 0; i < 6; i++ {
-		lim.reset()
-		var msg RootMsg
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := edge.ReadRoot()
+		if err != nil {
 			t.Fatalf("root session message %d: %v", i, err)
 		}
 		if len(msg.Handoff) > 0 {

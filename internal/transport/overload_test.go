@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"path/filepath"
@@ -279,27 +278,26 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 	}
 }
 
-// rawHello dials the server, introduces a client and returns the gob
-// codec pair after consuming the initial task.
-func rawHello(t *testing.T, addr string, id, numSamples, modelDim int) (net.Conn, *gob.Encoder, *gob.Decoder) {
+// rawHello dials the server, introduces a client and returns the
+// hand-driven connection after consuming the initial task.
+func rawHello(t *testing.T, addr string, id, numSamples, modelDim int) (net.Conn, *ClientConn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&ClientMsg{Hello: &Hello{ClientID: id, NumSamples: numSamples, ModelDim: modelDim}}); err != nil {
+	cc := NewClientConn(conn)
+	if err := cc.Send(&ClientMsg{Hello: &Hello{ClientID: id, NumSamples: numSamples, ModelDim: modelDim, Codec: CodecBinary}}); err != nil {
 		t.Fatal(err)
 	}
 	var msg ServerMsg
-	if err := dec.Decode(&msg); err != nil {
+	if err := cc.Recv(&msg); err != nil {
 		t.Fatal(err)
 	}
 	if msg.Task == nil {
 		t.Fatalf("hello answered with %+v, want a task", msg)
 	}
-	return conn, enc, dec
+	return conn, cc
 }
 
 func TestHelloModelDimMismatchNacked(t *testing.T) {
@@ -313,20 +311,19 @@ func TestHelloModelDimMismatchNacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 5, ModelDim: 7}}); err != nil {
+	cc := NewClientConn(conn)
+	if err := cc.Send(&ClientMsg{Hello: &Hello{ClientID: 1, NumSamples: 5, ModelDim: 7, Codec: CodecBinary}}); err != nil {
 		t.Fatal(err)
 	}
 	var msg ServerMsg
-	if err := dec.Decode(&msg); err != nil {
+	if err := cc.Recv(&msg); err != nil {
 		t.Fatal(err)
 	}
 	if msg.Nack != NackMalformed || msg.Task != nil {
 		t.Errorf("mismatched hello answered with %+v, want bare NackMalformed", msg)
 	}
 	// The refusal is terminal for the connection.
-	if err := dec.Decode(&msg); err == nil {
+	if err := cc.Recv(&msg); err == nil {
 		t.Error("connection stayed open after a refused hello")
 	}
 
@@ -430,20 +427,20 @@ func TestHeartbeatRenewsLeaseSilentClientEvicted(t *testing.T) {
 		Rounds:          1,
 		LeaseDuration:   200 * time.Millisecond,
 	})
-	connA, encA, decA := rawHello(t, addr, 1, 5, 0)
+	connA, ccA := rawHello(t, addr, 1, 5, 0)
 	defer connA.Close()
-	connB, _, decB := rawHello(t, addr, 2, 5, 0)
+	connB, ccB := rawHello(t, addr, 2, 5, 0)
 	defer connB.Close()
 
 	// A heartbeats at a quarter of the lease; B goes silent. Four lease
 	// periods later A must still be connected and B must be gone.
 	deadline := time.Now().Add(900 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if err := encA.Encode(&ClientMsg{Heartbeat: true}); err != nil {
+		if err := ccA.Send(&ClientMsg{Heartbeat: true}); err != nil {
 			t.Fatalf("heartbeating client lost its connection: %v", err)
 		}
 		var msg ServerMsg
-		if err := decA.Decode(&msg); err != nil {
+		if err := ccA.Recv(&msg); err != nil {
 			t.Fatalf("heartbeating client lost its connection: %v", err)
 		}
 		if !msg.Pong {
@@ -454,7 +451,7 @@ func TestHeartbeatRenewsLeaseSilentClientEvicted(t *testing.T) {
 
 	_ = connB.SetReadDeadline(time.Now().Add(2 * time.Second))
 	var msg ServerMsg
-	if err := decB.Decode(&msg); err == nil {
+	if err := ccB.Recv(&msg); err == nil {
 		t.Errorf("silent client still connected a full lease period later (got %+v)", msg)
 	}
 
@@ -493,9 +490,9 @@ func TestReconnectDuringDrainGetsGoodbye(t *testing.T) {
 
 	// A raw client submits the update that starts the gated round, so the
 	// drain sequence has an in-flight round to wait for.
-	conn, enc, _ := rawHello(t, addr, 1, 5, 0)
+	conn, cc := rawHello(t, addr, 1, 5, 0)
 	defer conn.Close()
-	if err := enc.Encode(&ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: make([]float64, len(initialParams(t)))}}); err != nil {
+	if err := cc.Send(&ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: make([]float64, len(initialParams(t)))}}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.entered
@@ -559,13 +556,13 @@ func TestDrainDeliversGoodbyeToIdleClients(t *testing.T) {
 	// transport picture of a client that is busy training.
 	type idleConn struct {
 		conn net.Conn
-		dec  *gob.Decoder
+		cc   *ClientConn
 	}
 	idle := make([]idleConn, 0, 2)
 	for id := 1; id <= 2; id++ {
-		conn, _, dec := rawHello(t, addr, id, 5, 0)
+		conn, cc := rawHello(t, addr, id, 5, 0)
 		defer conn.Close()
-		idle = append(idle, idleConn{conn, dec})
+		idle = append(idle, idleConn{conn, cc})
 	}
 
 	drainErr := make(chan error, 1)
@@ -581,7 +578,7 @@ func TestDrainDeliversGoodbyeToIdleClients(t *testing.T) {
 			t.Fatal(err)
 		}
 		var msg ServerMsg
-		if err := ic.dec.Decode(&msg); err != nil {
+		if err := ic.cc.Recv(&msg); err != nil {
 			t.Fatalf("idle client %d never heard about the drain: %v", i+1, err)
 		}
 		if !msg.Goodbye {

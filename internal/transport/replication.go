@@ -4,9 +4,9 @@ import "fmt"
 
 // This file defines the primary<->standby replication protocol of the
 // replicated root (internal/replica). Like the upstream protocol it lives
-// in transport so the envelope shares the full wire hardening: the
-// byte-budget limitReader, per-operation deadlines, the fuzz harness
-// (fuzz_replica_test.go) and the flat-envelope shape discipline.
+// in transport so the envelope shares the full wire hardening: the frame
+// codec's byte budget, per-operation deadlines and the fuzz harness
+// (fuzz_replica_test.go).
 //
 // The protocol is strict push-reply, mirroring the upstream protocol's
 // single-writer-per-side structure but with the roles swapped: the
@@ -144,7 +144,7 @@ type VoteGrant struct {
 }
 
 // PrimaryMsg is the primary->standby envelope: one per exchange, pushed
-// by the primary. Flat on purpose; see the package note in upstream.go.
+// by the primary.
 type PrimaryMsg struct {
 	// Snapshot, when non-nil, is the primary's full durable state in the
 	// internal/checkpoint container format (the same bytes a root
@@ -208,32 +208,15 @@ func (h *ReplHello) Validate() error {
 //afl:hotpath
 func (u *UpstreamConn) ReadReplica() (*ReplicaMsg, error) {
 	u.armRead()
-	if err := u.ensureSniffed(); err != nil {
-		return nil, err
-	}
-	if u.bin != nil {
-		return u.bin.readReplicaMsg()
-	}
-	u.lim.reset()
-	var msg ReplicaMsg
-	if err := u.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	return &msg, nil
+	return u.bin.readReplicaMsg()
 }
 
 // WritePrimary encodes one primary->standby push (primary side).
 //
 //afl:hotpath
 func (u *UpstreamConn) WritePrimary(msg *PrimaryMsg) error {
-	if u.sniffPending {
-		return errWriteBeforeSniff
-	}
 	u.armWrite()
-	if u.bin != nil {
-		return u.bin.writePrimaryMsg(msg)
-	}
-	return u.enc.Encode(msg)
+	return u.bin.writePrimaryMsg(msg)
 }
 
 // ReadPrimary decodes the next primary->standby envelope (standby side).
@@ -241,31 +224,14 @@ func (u *UpstreamConn) WritePrimary(msg *PrimaryMsg) error {
 //afl:hotpath
 func (u *UpstreamConn) ReadPrimary() (*PrimaryMsg, error) {
 	u.armRead()
-	if err := u.ensureSniffed(); err != nil {
-		return nil, err
-	}
-	if u.bin != nil {
-		//lint:ignore hotalloc the binary decode materializes one log record's delta per push; the standby applies it to its shadow state and drops the slice
-		return u.bin.readPrimaryMsg()
-	}
-	u.lim.reset()
-	var msg PrimaryMsg
-	if err := u.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	return &msg, nil
+	//lint:ignore hotalloc the binary decode materializes one log record's delta per push; the standby applies it to its shadow state and drops the slice
+	return u.bin.readPrimaryMsg()
 }
 
 // WriteReplica encodes one standby->primary message (standby side).
 //
 //afl:hotpath
 func (u *UpstreamConn) WriteReplica(msg *ReplicaMsg) error {
-	if u.sniffPending {
-		return errWriteBeforeSniff
-	}
 	u.armWrite()
-	if u.bin != nil {
-		return u.bin.writeReplicaMsg(msg)
-	}
-	return u.enc.Encode(msg)
+	return u.bin.writeReplicaMsg(msg)
 }

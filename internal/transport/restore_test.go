@@ -528,3 +528,63 @@ func TestKillAndRestoreMidDeployment(t *testing.T) {
 	restoredAcc := evalAccuracy(t, server2.FinalParams())
 	t.Logf("baseline accuracy %.3f, kill-and-restore accuracy %.3f", baseAcc, restoredAcc)
 }
+
+// Close ends an unfinished deployment as a kill, not as its completion:
+// a client whose request is answered while Close waits for the in-flight
+// round must see its connection drop, not a Done that would make it exit
+// instead of reconnecting to a restarted server.
+func TestCloseMidDeploymentSendsNoDone(t *testing.T) {
+	gate := newGateFilter()
+	server, err := NewServer(ServerConfig{
+		InitialParams:   initialParams(t),
+		AggregationGoal: 1,
+		Rounds:          10,
+		ReadTimeout:     10 * time.Second,
+		WriteTimeout:    10 * time.Second,
+	}, gate, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- server.Serve(lis) }()
+	addr := lis.Addr().String()
+	delta := make([]float64, len(initialParams(t)))
+
+	// A's update starts a round that blocks in the filter.
+	connA, ccA := rawHello(t, addr, 1, 5, 0)
+	defer connA.Close()
+	if err := ccA.Send(&ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: delta}}); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
+	connB, ccB := rawHello(t, addr, 2, 5, 0)
+	defer connB.Close()
+
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- server.Close() }()
+	for !server.Finished() {
+		time.Sleep(time.Millisecond)
+	}
+	// B asks for work while Close waits for A's round.
+	if err := ccB.Send(&ClientMsg{Update: &UpdateMsg{BaseVersion: 0, Delta: delta}}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let B's handler answer, if it would
+	close(gate.release)
+	if err := <-closeErr; err != nil {
+		t.Errorf("close: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+
+	_ = connB.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var msg ServerMsg
+	if err := ccB.Recv(&msg); err == nil && msg.Done {
+		t.Fatal("a killed deployment told a client it was done")
+	}
+}

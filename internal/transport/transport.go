@@ -4,8 +4,8 @@
 // remote clients, hands out the current global model, buffers returned
 // updates, filters them (AsyncFilter or any fl.Filter) and aggregates.
 //
-// The wire protocol is gob-encoded message structs over a single
-// long-lived TCP connection per client:
+// The wire protocol is the binary frame envelope of wire.go over a
+// single long-lived TCP connection per client:
 //
 //	client -> server: Hello, then Update*
 //	server -> client: Task* (new model to train), then Done
@@ -59,12 +59,8 @@ type Hello struct {
 	// rejected at Hello time with a NackMalformed instead of letting the
 	// client train a round it can never submit.
 	ModelDim int
-	// Codec declares the wire codec this client speaks (see Codec). The
-	// connection's framing is negotiated by the binary preamble before
-	// the Hello is readable, so this field is the declarative record of
-	// that choice: the server cross-checks it against the sniffed framing
-	// and refuses a mismatch with NackMalformed. Legacy clients leave it
-	// zero (CodecGob), which matches their preamble-less gob stream.
+	// Codec declares the wire codec this client speaks. The server
+	// refuses any value other than CodecBinary with NackMalformed.
 	Codec Codec
 }
 
@@ -138,11 +134,7 @@ type UpdateMsg struct {
 	Delta []float64
 }
 
-// ClientMsg is the client->server envelope. The new heartbeat field is a
-// plain bool (not a nested struct) on purpose: gob emits one extra wire
-// message per struct type it meets, and keeping the envelope flat keeps
-// the deterministic fault-injection schedules — which count I/O
-// operations — aligned across protocol revisions.
+// ClientMsg is the client->server envelope.
 type ClientMsg struct {
 	Hello  *Hello
 	Update *UpdateMsg
@@ -331,11 +323,15 @@ type Server struct {
 	// update returns its memory here (see maybeAggregate).
 	arena *fl.Arena
 
-	mu           sync.Mutex
-	global       []float64
-	version      int
-	buffer       *fl.Buffer
-	finished     bool
+	mu       sync.Mutex
+	global   []float64
+	version  int
+	buffer   *fl.Buffer
+	finished bool
+	// killed marks a Close that ended the deployment before its rounds
+	// completed: handlers then hang up instead of replying Done, so
+	// clients reconnect (to a restarted server) rather than exit.
+	killed       bool
 	restored     bool
 	draining     bool
 	netClosed    bool
@@ -560,11 +556,14 @@ func (s *Server) Finish() {
 // Serve. It waits for any in-flight aggregation round to commit, then —
 // when checkpointing is configured — writes a final snapshot of the
 // resulting state, so a graceful shutdown is always resumable. Setting
-// finished first guarantees no new round starts while Close waits.
+// finished first guarantees no new round starts while Close waits. A
+// deployment that had not completed tells no client it is done: their
+// connections just drop.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if !s.finished {
 		s.finished = true
+		s.killed = true
 		close(s.done)
 	}
 	for s.aggregating {
@@ -665,17 +664,19 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer s.untrackConn(conn)
 
-	// The first byte of the stream picks the codec (see sniffWire): the
-	// binary preamble's 0x00 or a gob varint. Both reads run under the
-	// same read deadline as the Hello they precede.
+	// The Hello's read also checks the connection preamble, under the
+	// same read deadline.
 	s.armRead(conn)
-	wire, err := s.sniffWire(conn)
-	if err != nil {
-		// Nothing was negotiated, so there is no codec to say Goodbye in.
+	wire := &serverWire{bin: newAcceptor(conn, s.cfg.MaxMessageBytes), srv: s}
+	hello, err := wire.readMsg()
+	if errors.Is(err, ErrBadPreamble) {
+		// Another protocol or codec version: there is nothing to reply
+		// in, so the connection just closes.
+		s.mu.Lock()
+		s.stats.DroppedMalformed++
+		s.mu.Unlock()
 		return
 	}
-
-	hello, err := wire.readMsg()
 	if err != nil || hello.hello == nil {
 		if hello.hello == nil && s.isDraining() {
 			// The read was nudged awake by a starting drain (or the
@@ -685,12 +686,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	if hello.hello.Codec != wire.codec() || !s.admitHello(hello.hello) {
-		// The advertised model dimension cannot match this deployment
-		// (or the declared codec contradicts the negotiated framing):
+	if hello.hello.Codec != CodecBinary || !s.admitHello(hello.hello) {
+		// The declared codec is not the one this server speaks, or the
+		// advertised model dimension cannot match this deployment:
 		// refuse at Hello time instead of letting the client train a
 		// round it can never submit.
-		if hello.hello.Codec != wire.codec() {
+		if hello.hello.Codec != CodecBinary {
 			s.mu.Lock()
 			s.stats.DroppedMalformed++
 			s.stats.NacksSent++
@@ -824,7 +825,7 @@ func (s *Server) heartbeat(sess *clientSession) bool {
 
 // send transmits one server message under the write deadline, reporting
 // whether the connection is still usable. Never called with s.mu held.
-func (s *Server) send(conn net.Conn, wire serverWire, msg *ServerMsg) bool {
+func (s *Server) send(conn net.Conn, wire *serverWire, msg *ServerMsg) bool {
 	if s.cfg.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
@@ -851,7 +852,7 @@ const drainLinger = 5 * time.Second
 // answers the client's next request, so in-flight requests are decoded
 // and discarded here rather than replied to twice. The current shard list
 // (if any) rides along so a redirected client knows where "elsewhere" is.
-func (s *Server) farewell(conn net.Conn, wire serverWire) {
+func (s *Server) farewell(conn net.Conn, wire *serverWire) {
 	s.mu.Lock()
 	shards := append([]string(nil), s.shardAddrs...)
 	sv := s.shardVersion
@@ -865,7 +866,7 @@ func (s *Server) farewell(conn net.Conn, wire serverWire) {
 // until the peer closes (typically right after reading a Goodbye already
 // on the wire), the linger budget runs out, or drain teardown closes the
 // socket.
-func (s *Server) linger(conn net.Conn, wire serverWire) {
+func (s *Server) linger(conn net.Conn, wire *serverWire) {
 	_ = conn.SetReadDeadline(time.Now().Add(drainLinger))
 	for {
 		msg, err := wire.readMsg()
@@ -882,20 +883,24 @@ func (s *Server) linger(conn net.Conn, wire serverWire) {
 // sendTask transmits the latest model, or Done/Goodbye when training
 // finished. It reports whether the connection should stay open. sentShard
 // is the handler's shard-push cursor (see shardPushLocked).
-func (s *Server) sendTask(conn net.Conn, wire serverWire, sentShard *int) bool {
+func (s *Server) sendTask(conn net.Conn, wire *serverWire, sentShard *int) bool {
 	return s.sendTaskNack(conn, wire, 0, 0, sentShard)
 }
 
 // sendTaskNack transmits an optional NACK together with the latest model
 // in one envelope (or Done/Goodbye when the deployment ended). It reports
 // whether the connection should stay open.
-func (s *Server) sendTaskNack(conn net.Conn, wire serverWire, nack NackCode, retryAfter time.Duration, sentShard *int) bool {
+func (s *Server) sendTaskNack(conn net.Conn, wire *serverWire, nack NackCode, retryAfter time.Duration, sentShard *int) bool {
 	s.mu.Lock()
 	finished := s.finished
 	draining := s.draining
+	killed := s.killed
 	task := Task{Version: s.version, Params: vecmath.Clone(s.global)}
 	shards, sv := s.shardPushLocked(sentShard)
 	s.mu.Unlock()
+	if killed && !draining {
+		return false
+	}
 	if finished || draining {
 		s.send(conn, wire, &ServerMsg{Done: finished && !draining, Goodbye: draining, Shards: shards, ShardVersion: sv})
 		return false

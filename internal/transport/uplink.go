@@ -1,17 +1,13 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
-	"io"
 	"net"
 	"time"
 )
 
 // UpstreamConn wraps one side of an established edge<->root (or
 // primary<->standby, internal/replica) connection with the same wire
-// hardening the client protocol gets: the negotiated codec behind the
+// hardening the client protocol gets: the frame codec behind the
 // byte-budget guard, and a read/write deadline armed before every
 // blocking I/O operation. Both sides of the upstream protocol
 // (internal/topology) speak through it — the edge with
@@ -19,114 +15,46 @@ import (
 // path the fuzz harness drives (fuzz_upstream_test.go) is exactly the
 // production one.
 //
-// Codec negotiation follows the client protocol's preamble scheme: the
-// initiating side (the edge, the attaching standby) either writes the
-// binary preamble before its first frame or opens with a bare gob
-// stream, and the accepting side (the root, the primary) sniffs the
-// first byte lazily on its first read. NewUpstreamConn builds a legacy
-// gob initiator; NewUpstreamConnCodec selects the codec;
-// AcceptUpstreamConn builds the sniffing acceptor.
+// The initiating side (the edge, the attaching standby, the vote
+// candidate) is built with NewUpstreamConn and sends the connection
+// preamble with its first frame; the accepting side (the root, the
+// primary, the voter) is built with AcceptUpstreamConn and checks the
+// preamble on its first read.
 //
 // An UpstreamConn is owned by a single goroutine per side; the strict
 // request-reply shape of the protocol (one RootMsg per EdgeMsg) makes
-// that the natural structure and keeps the codecs free of locking.
+// that the natural structure and keeps the codec free of locking.
 type UpstreamConn struct {
-	conn net.Conn
-	// Gob codec state; nil on a binary connection.
-	lim *limitReader
-	dec *gob.Decoder
-	enc *gob.Encoder
-	// Binary codec state; nil on a gob connection.
-	bin *binConn
-	// sniffPending marks an acceptor that has not classified the peer's
-	// first byte yet; max is retained until then.
-	sniffPending bool
-	max          int64
+	conn         net.Conn
+	bin          *binConn
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 }
 
-// NewUpstreamConn dresses conn with the legacy gob codec (the historical
-// constructor, kept so every existing call site and wire stream stays
-// byte-identical). maxMessageBytes caps a single decoded message (0
-// disables the guard); readTimeout and writeTimeout bound each blocking
-// read and write (0 disables).
+// NewUpstreamConn dresses the initiating side of a connection.
+// maxMessageBytes caps a single frame payload (0 disables the guard);
+// readTimeout and writeTimeout bound each blocking read and write (0
+// disables).
 func NewUpstreamConn(conn net.Conn, maxMessageBytes int64, readTimeout, writeTimeout time.Duration) *UpstreamConn {
-	return NewUpstreamConnCodec(conn, CodecGob, maxMessageBytes, readTimeout, writeTimeout)
-}
-
-// NewUpstreamConnCodec dresses the initiating side of a connection with
-// the chosen codec. A binary initiator sends the connection preamble
-// before its first frame; in every upstream protocol the initiator
-// writes first, so the acceptor's sniff always has a byte to classify.
-func NewUpstreamConnCodec(conn net.Conn, codec Codec, maxMessageBytes int64, readTimeout, writeTimeout time.Duration) *UpstreamConn {
-	u := &UpstreamConn{
+	return &UpstreamConn{
 		conn:         conn,
-		max:          maxMessageBytes,
+		bin:          newInitiator(conn, maxMessageBytes),
 		readTimeout:  readTimeout,
 		writeTimeout: writeTimeout,
 	}
-	if codec == CodecBinary {
-		u.bin = newBinConn(conn, maxMessageBytes, true)
-	} else {
-		u.initGob(conn)
-	}
-	return u
 }
 
-// AcceptUpstreamConn dresses the accepting side of a connection. The
-// codec is negotiated lazily on the first read by sniffing the peer's
-// first byte (under that read's deadline), so legacy gob dialers keep
-// working against upgraded acceptors unchanged.
+// AcceptUpstreamConn dresses the accepting side of a connection. Its
+// first read checks the connection preamble (under that read's
+// deadline) and fails with ErrBadPreamble on anything else.
 func AcceptUpstreamConn(conn net.Conn, maxMessageBytes int64, readTimeout, writeTimeout time.Duration) *UpstreamConn {
 	return &UpstreamConn{
 		conn:         conn,
-		sniffPending: true,
-		max:          maxMessageBytes,
+		bin:          newAcceptor(conn, maxMessageBytes),
 		readTimeout:  readTimeout,
 		writeTimeout: writeTimeout,
 	}
 }
-
-// initGob builds the gob codec over r (the sniffed-byte replay reader on
-// an acceptor, the raw conn on an initiator).
-func (u *UpstreamConn) initGob(r io.Reader) {
-	u.lim = newLimitReader(r, u.max)
-	u.dec = gob.NewDecoder(u.lim)
-	u.enc = gob.NewEncoder(u.conn)
-}
-
-// ensureSniffed classifies an acceptor's peer on the first read: the
-// binary preamble's 0x00 first byte (impossible for gob) selects the
-// binary codec, anything else replays the byte into a gob decoder.
-func (u *UpstreamConn) ensureSniffed() error {
-	if !u.sniffPending {
-		return nil
-	}
-	u.sniffPending = false
-	var first [1]byte
-	if _, err := io.ReadFull(u.conn, first[:]); err != nil {
-		return err
-	}
-	if first[0] != binaryPreamble[0] {
-		u.initGob(io.MultiReader(bytes.NewReader(first[:]), u.conn))
-		return nil
-	}
-	var rest [3]byte
-	if _, err := io.ReadFull(u.conn, rest[:]); err != nil {
-		return err
-	}
-	if rest != [3]byte{binaryPreamble[1], binaryPreamble[2], binaryPreamble[3]} {
-		return badFrame(0, "bad binary preamble")
-	}
-	u.bin = newBinConn(u.conn, u.max, false)
-	return nil
-}
-
-// errWriteBeforeSniff guards the acceptor protocol shape: every upstream
-// protocol has the initiator speak first, so an acceptor write before
-// the codec is known is a programming error, not a peer fault.
-var errWriteBeforeSniff = errors.New("transport: upstream acceptor write before first read negotiated the codec")
 
 // armRead refreshes the read deadline before a blocking decode.
 func (u *UpstreamConn) armRead() {
@@ -147,33 +75,16 @@ func (u *UpstreamConn) armWrite() {
 //afl:hotpath
 func (u *UpstreamConn) ReadEdge() (*EdgeMsg, error) {
 	u.armRead()
-	if err := u.ensureSniffed(); err != nil {
-		return nil, err
-	}
-	if u.bin != nil {
-		//lint:ignore hotalloc the binary decode materializes each batched update exactly once per message (bounded by the frame's sanity caps); the root's round pipeline owns and retires them
-		return u.bin.readEdgeMsg()
-	}
-	u.lim.reset()
-	var msg EdgeMsg
-	if err := u.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	return &msg, nil
+	//lint:ignore hotalloc the binary decode materializes each batched update exactly once per message (bounded by the frame's sanity caps); the root's round pipeline owns and retires them
+	return u.bin.readEdgeMsg()
 }
 
 // WriteRoot encodes one root->edge reply (root side).
 //
 //afl:hotpath
 func (u *UpstreamConn) WriteRoot(msg *RootMsg) error {
-	if u.sniffPending {
-		return errWriteBeforeSniff
-	}
 	u.armWrite()
-	if u.bin != nil {
-		return u.bin.writeRootMsg(msg)
-	}
-	return u.enc.Encode(msg)
+	return u.bin.writeRootMsg(msg)
 }
 
 // ReadRoot decodes the next root->edge envelope (edge side).
@@ -181,46 +92,21 @@ func (u *UpstreamConn) WriteRoot(msg *RootMsg) error {
 //afl:hotpath
 func (u *UpstreamConn) ReadRoot() (*RootMsg, error) {
 	u.armRead()
-	if err := u.ensureSniffed(); err != nil {
-		return nil, err
-	}
-	if u.bin != nil {
-		//lint:ignore hotalloc the binary decode materializes the task parameters once per reply; the edge copies them into its model and drops the slice
-		return u.bin.readRootMsg()
-	}
-	u.lim.reset()
-	var msg RootMsg
-	if err := u.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	return &msg, nil
+	//lint:ignore hotalloc the binary decode materializes the task parameters once per reply; the edge copies them into its model and drops the slice
+	return u.bin.readRootMsg()
 }
 
 // WriteEdge encodes one edge->root request (edge side).
 //
 //afl:hotpath
 func (u *UpstreamConn) WriteEdge(msg *EdgeMsg) error {
-	if u.sniffPending {
-		return errWriteBeforeSniff
-	}
 	u.armWrite()
-	if u.bin != nil {
-		return u.bin.writeEdgeMsg(msg)
-	}
-	return u.enc.Encode(msg)
+	return u.bin.writeEdgeMsg(msg)
 }
 
 // Oversize reports whether the last failed read was killed by the
 // byte-budget guard rather than an ordinary stream error.
-func (u *UpstreamConn) Oversize() bool {
-	if u.bin != nil {
-		return u.bin.tripped()
-	}
-	if u.lim != nil {
-		return u.lim.tripped()
-	}
-	return false
-}
+func (u *UpstreamConn) Oversize() bool { return u.bin.tripped() }
 
 // Close closes the underlying connection.
 func (u *UpstreamConn) Close() error { return u.conn.Close() }

@@ -10,11 +10,8 @@ import (
 
 // This file defines the edge<->root wire protocol of the two-tier
 // topology (internal/topology). It lives in transport so the upstream
-// envelope shares the hardening the client protocol gets: the
-// byte-budget limitReader, the fuzz harness (fuzz_upstream_test.go) and
-// the envelope-shape discipline — flat structs with pointer/bool fields,
-// because gob emits one typedef per struct type and deterministic fault
-// schedules count I/O operations, so envelope shape stability matters.
+// envelope shares the hardening the client protocol gets: the frame
+// codec's byte budget and the fuzz harness (fuzz_upstream_test.go).
 //
 // The protocol is strict request-reply, like the client protocol: the
 // edge sends EdgeMsg, the root answers each with exactly one RootMsg.
@@ -69,8 +66,7 @@ type BatchMsg struct {
 	FilterState []byte
 }
 
-// EdgeMsg is the edge->root envelope. Flat on purpose; see the package
-// note above.
+// EdgeMsg is the edge->root envelope.
 type EdgeMsg struct {
 	Hello *EdgeHello
 	Batch *BatchMsg

@@ -13,83 +13,60 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 )
 
-// This file implements the binary wire codec of ROADMAP item 2: a
+// This file implements the wire codec every connection speaks: a
 // length-prefixed frame envelope carrying raw little-endian float64
-// slabs, replacing gob's reflective encoding on every per-update hot
-// path while keeping gob as the fuzz-hardened fallback and the legacy
-// protocol.
+// slabs on the per-update hot paths.
 //
-// Negotiation is per connection and initiator-driven: a binary-codec
-// initiator sends a 4-byte preamble before its first frame, and the
-// accepting side sniffs the first byte of the stream to pick the
-// connection's codec. The preamble starts with 0x00, a byte no gob
-// stream can begin with (gob frames every message with a non-zero
-// varint byte count, and a zero-length message is never emitted), so
-// legacy gob connections are recognized without consuming anything a
-// gob decoder needs: the sniffed byte is re-prepended and the gob byte
-// stream stays byte-for-byte identical to previous releases — which is
-// what keeps the deterministic fault-injection schedules (they count
-// I/O operations) aligned. The client additionally declares its codec
-// in Hello.Codec, so the negotiation is also visible at the protocol
-// level and the server can cross-check framing against declaration.
+// Every connection opens with a 4-byte preamble, written by the
+// initiator (client, edge, attaching standby, vote candidate) in the
+// same write as its first frame:
+//
+//	0x00 'A' 'F' 1
+//
+// It is a protocol magic plus the codec version. The acceptor reads it
+// in one 4-byte read before its first frame and refuses anything else
+// with ErrBadPreamble, so a peer speaking another protocol (an old gob
+// client, say) is dropped with a typed error instead of being decoded
+// as frames. The client also declares the codec in Hello.Codec, which
+// the server checks as outside input.
 //
 // After the preamble the connection is a sequence of frames:
 //
 //	kind (1 byte) | payload length (uint32 LE) | payload
 //
-// Hot message shapes get dedicated raw kinds whose payloads are fixed
-// scalar fields plus float64 slabs (encoded bit-exactly via
-// math.Float64bits, so NaN payloads and signed zeros survive). Every
-// other message — Hellos, shard pushes, snapshots, votes, Done/Goodbye
-// — travels as kind 0: a self-contained gob encoding of the envelope
-// struct inside one frame. That keeps total message coverage (and the
-// gob fallback exercised) while the steady-state path never touches
-// reflection.
+// Every message is exactly one frame and one write. Hot message shapes
+// get dedicated raw kinds whose payloads are fixed scalar fields plus
+// float64 slabs (encoded bit-exactly via math.Float64bits, so NaN
+// payloads and signed zeros survive). Every other message — Hellos,
+// shard pushes, snapshots, votes, Done/Goodbye — travels as kind 0: a
+// self-contained gob encoding of the envelope struct inside one frame.
+// That keeps total message coverage for the cold control messages while
+// the steady-state path never touches reflection.
 //
 // The payload length is checked against the connection's byte budget
-// BEFORE any allocation, mirroring the limitReader guard of the gob
-// path: a hostile 4 GiB length prefix trips the oversize counter and
-// kills the connection without allocating.
+// BEFORE any allocation: a hostile 4 GiB length prefix trips the
+// oversize counter and kills the connection without allocating.
 
-// Codec identifies a negotiated wire codec.
+// Codec is the wire codec a Hello declares. The binary frame envelope
+// is the only codec; the type survives as the Hello's declarative
+// codec field, which the server checks.
 type Codec int
 
-const (
-	// CodecGob is the legacy reflective gob stream (the zero value, so
-	// unconfigured deployments keep their exact wire behavior).
-	CodecGob Codec = iota
-	// CodecBinary is the length-prefixed binary frame envelope.
-	CodecBinary
-)
+// CodecBinary is the length-prefixed binary frame envelope.
+const CodecBinary Codec = 1
 
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
+// preamble opens every connection: a protocol magic and the codec
+// version.
+var preamble = [4]byte{0x00, 'A', 'F', 1}
 
-// ParseCodec maps a -codec flag value to a Codec. The empty string
-// selects gob, matching the zero value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "gob":
-		return CodecGob, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown codec %q (want gob or binary)", s)
-	}
-}
+// ErrBadPreamble reports a connection that did not open with the
+// preamble: another protocol, or an unsupported codec version.
+var ErrBadPreamble = errors.New("transport: missing or unsupported connection preamble")
 
-// binaryPreamble is the connection preamble of a binary-codec initiator:
-// an impossible-for-gob first byte, a protocol tag, and a codec version.
-var binaryPreamble = [4]byte{0x00, 'A', 'F', 1}
+// ErrMessageTooLarge reports a frame whose payload exceeds the
+// connection's byte budget (ServerConfig.MaxMessageBytes and its
+// upstream equivalents).
+var ErrMessageTooLarge = errors.New("transport: message exceeds size limit")
 
 // ErrBadFrame reports a structurally invalid binary frame: an unknown
 // kind, a payload that does not parse, or trailing garbage.
@@ -115,29 +92,36 @@ const (
 	frameReplHeartbeat byte = 0x0A
 )
 
-// binConn is one side's framing state on a binary-codec connection: a
-// grow-only write scratch, a grow-only read buffer, and the oversize
-// trip flag. Not safe for concurrent use; the transport's single-reader
-// / single-writer discipline applies, with reads and writes
-// independently owned (the two buffers never alias).
+// binConn is one side's framing state on a connection: a grow-only
+// write scratch, a grow-only read buffer, and the oversize trip flag.
+// Not safe for concurrent use; the transport's single-reader /
+// single-writer discipline applies, with reads and writes independently
+// owned (the two buffers never alias).
 type binConn struct {
 	r   io.Reader
 	w   io.Writer
 	max int64
-	// sendPreamble arms the one-shot preamble write of an initiator.
+	// sendPreamble arms the initiator's one-shot preamble, prepended to
+	// its first frame; wantPreamble arms the acceptor's one-shot check
+	// before its first frame.
 	sendPreamble bool
+	wantPreamble bool
 	trip         bool
 	hdr          [frameHeaderLen]byte
 	rbuf         []byte
 	wbuf         []byte
 }
 
-// newBinConn builds framing state over a connection. max caps a frame
-// payload (0 disables, like the gob path's limitReader). sendPreamble
-// selects the initiator role: the 4-byte preamble goes out before the
-// first frame.
-func newBinConn(rw io.ReadWriter, max int64, sendPreamble bool) *binConn {
-	return &binConn{r: rw, w: rw, max: max, sendPreamble: sendPreamble}
+// newInitiator builds the framing state of the side that opens a
+// connection. max caps a frame payload (0 disables the guard).
+func newInitiator(rw io.ReadWriter, max int64) *binConn {
+	return &binConn{r: rw, w: rw, max: max, sendPreamble: true}
+}
+
+// newAcceptor builds the framing state of the side that accepted a
+// connection: its first read checks the preamble.
+func newAcceptor(rw io.ReadWriter, max int64) *binConn {
+	return &binConn{r: rw, w: rw, max: max, wantPreamble: true}
 }
 
 // begin returns the write scratch positioned after the frame header.
@@ -148,17 +132,16 @@ func (c *binConn) begin() []byte {
 	return c.wbuf[:frameHeaderLen]
 }
 
-// flush stamps the header and writes the frame (preceded by the one-shot
-// preamble on an initiator). b must have come from begin() + appends.
+// flush stamps the header and writes the frame in one write, preceded
+// by the one-shot preamble on an initiator. b must have come from
+// begin() + appends.
 func (c *binConn) flush(kind byte, b []byte) error {
 	c.wbuf = b[:0]
 	b[0] = kind
 	binary.LittleEndian.PutUint32(b[1:frameHeaderLen], uint32(len(b)-frameHeaderLen))
 	if c.sendPreamble {
 		c.sendPreamble = false
-		if _, err := c.w.Write(binaryPreamble[:]); err != nil {
-			return err
-		}
+		b = append(preamble[:len(preamble):len(preamble)], b...)
 	}
 	_, err := c.w.Write(b)
 	return err
@@ -174,11 +157,22 @@ func (c *binConn) flushGob(v any) error {
 	return c.flush(frameGob, append(c.begin(), buf.Bytes()...))
 }
 
-// readFrame reads one frame header and payload. The payload slice is the
+// readFrame reads one frame header and payload (after the preamble on
+// an acceptor's first call). The payload slice is the
 // connection's reusable buffer: it is valid until the next readFrame,
 // and decoded messages must copy what they keep. The byte budget is
 // enforced before the payload buffer is (re)allocated.
 func (c *binConn) readFrame() (byte, []byte, error) {
+	if c.wantPreamble {
+		c.wantPreamble = false
+		var p [len(preamble)]byte
+		if _, err := io.ReadFull(c.r, p[:]); err != nil {
+			return 0, nil, err
+		}
+		if p != preamble {
+			return 0, nil, fmt.Errorf("opening bytes % x: %w", p[:], ErrBadPreamble)
+		}
+	}
 	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -595,8 +589,8 @@ func (c *binConn) readRootMsg() (*RootMsg, error) {
 		if flags&1 != 0 {
 			version := cur.i64()
 			var params []float64
-			// Allocate only a non-empty slab: gob decodes an empty
-			// Params as nil, and the codecs must agree byte for byte.
+			// Allocate only a non-empty slab: a gob-in-frame reply
+			// decodes an empty Params as nil, and both kinds must agree.
 			if dim := cur.restDim(); dim > 0 {
 				params = make([]float64, dim)
 				cur.f64sInto(params)

@@ -323,10 +323,6 @@ type ClientOptions struct {
 	// connected (0 disables), renewing the server-side lease through long
 	// local training. Set it well below the server's LeaseDuration.
 	HeartbeatInterval time.Duration
-	// Codec selects the wire codec: "" or "gob" for the legacy stream,
-	// "binary" for the length-prefixed frame envelope (negotiated per
-	// connection; the server answers in kind, so mixed fleets work).
-	Codec string
 }
 
 // ErrServerGoodbye is returned by Client.Run when the server is draining
@@ -341,10 +337,6 @@ type Client struct {
 
 // NewClient builds a client.
 func NewClient(opts ClientOptions) (*Client, error) {
-	codec, err := transport.ParseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
 	c, err := transport.NewClient(transport.ClientConfig{
 		ID:                opts.ID,
 		Data:              dataOf(opts.Data),
@@ -357,7 +349,6 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		RetryMaxDelay:     opts.RetryMaxDelay,
 		DialTimeout:       opts.DialTimeout,
 		HeartbeatInterval: opts.HeartbeatInterval,
-		Codec:             codec,
 	})
 	if err != nil {
 		return nil, err

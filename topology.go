@@ -10,7 +10,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 	"github.com/asyncfl/asyncfilter/internal/replica"
 	"github.com/asyncfl/asyncfilter/internal/topology"
-	"github.com/asyncfl/asyncfilter/internal/transport"
 )
 
 // This file is the public face of the two-tier topology (DESIGN.md §12):
@@ -45,11 +44,6 @@ type EdgeServerConfig struct {
 	RetryMaxDelay  time.Duration
 	// Seed drives the uplink's backoff jitter.
 	Seed int64
-	// UplinkCodec selects the uplink wire codec: "" or "gob" for the
-	// legacy stream, "binary" for the length-prefixed frame envelope
-	// (DESIGN.md §14). The root auto-detects per connection, so edges
-	// can migrate one at a time.
-	UplinkCodec string
 }
 
 // EdgeServerStats summarizes an edge's upstream behaviour; the
@@ -96,10 +90,6 @@ func NewEdgeServer(cfg EdgeServerConfig, filter *Filter) (*EdgeServer, error) {
 		// must outlast it.
 		serverCfg.Rounds = 1 << 30
 	}
-	uplinkCodec, err := transport.ParseCodec(cfg.UplinkCodec)
-	if err != nil {
-		return nil, err
-	}
 	hub := hubOf(metrics)
 	edge, err := topology.NewEdge(topology.EdgeConfig{
 		EdgeID:            cfg.EdgeID,
@@ -110,7 +100,6 @@ func NewEdgeServer(cfg EdgeServerConfig, filter *Filter) (*EdgeServer, error) {
 		RetryBaseDelay:    cfg.RetryBaseDelay,
 		RetryMaxDelay:     cfg.RetryMaxDelay,
 		Seed:              cfg.Seed,
-		UplinkCodec:       uplinkCodec,
 		Obsv:              hub,
 	}, innerFilter, nil)
 	if err != nil {
@@ -284,11 +273,6 @@ type ReplicationConfig struct {
 	MaxMessageBytes int64
 	// Seed drives the standby's reconnect jitter.
 	Seed int64
-	// Codec selects the replication-link wire codec: "" or "gob" for the
-	// legacy stream, "binary" for the length-prefixed frame envelope
-	// (DESIGN.md §14). The primary auto-detects per connection, so a
-	// group can migrate one node at a time.
-	Codec string
 }
 
 // RootServerStats reports the root's lifetime counters.
@@ -353,11 +337,6 @@ func NewRootServer(cfg RootServerConfig, filter *Filter) (*RootServer, error) {
 	}
 	srv := &RootServer{inner: root, metrics: metrics}
 	if rc := cfg.Replication; rc != nil {
-		replCodec, err := transport.ParseCodec(rc.Codec)
-		if err != nil {
-			_ = root.Close()
-			return nil, err
-		}
 		node, err := replica.NewNode(replica.Config{
 			NodeID:          rc.NodeID,
 			ReplListen:      rc.ReplListen,
@@ -371,7 +350,6 @@ func NewRootServer(cfg RootServerConfig, filter *Filter) (*RootServer, error) {
 			Heartbeat:       rc.Heartbeat,
 			MaxMessageBytes: rc.MaxMessageBytes,
 			Seed:            rc.Seed,
-			Codec:           replCodec,
 			Obsv:            hubOf(metrics),
 		}, root)
 		if err != nil {
