@@ -1,11 +1,12 @@
 # Tier-1 verify: build + tests (the floor every change must hold).
 # Tier-1+ verify: `make check` adds go vet, the afllint invariant
-# analyzers, and the race detector, which the transport fault-injection
-# tests rely on to catch shutdown and reconnect races.
+# analyzers, the race detector, which the transport fault-injection
+# tests rely on to catch shutdown and reconnect races, and a build of the
+# nested aflperf benchmark module.
 
 GO ?= go
 
-.PHONY: build test check vet lint race bench bench-hot cover fuzz-smoke
+.PHONY: build test check vet lint race perf-build bench bench-hot cover fuzz-smoke
 
 # Coverage floor enforced by `make cover` and the CI coverage job.
 # Measured at the observability PR; raise when coverage rises, never
@@ -49,7 +50,13 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-check: build vet lint race
+# perf-build compiles and vets the nested aflperf benchmark module, which
+# `./...` does not reach: an API change that breaks the benchmark fails
+# here instead of at benchmark time. The binary lands in the ignored bin/.
+perf-build:
+	cd aflperf && $(GO) build -o $(CURDIR)/bin/ ./... && $(GO) vet ./...
+
+check: build vet lint race perf-build
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -63,7 +63,6 @@ const OwnedDirective = "//afl:owned"
 // through export data).
 var crossOwned = map[string]bool{
 	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Add":       true,
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Requeue":   true,
 	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).RequeueAt": true,
 	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutVec":     true,
 	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutUpdate":  true,

@@ -139,7 +139,8 @@ func Fingerprint(raw []byte) (uint32, error) {
 
 // Save atomically writes state to path: the snapshot is encoded and
 // checksummed into a temporary file in path's directory, synced, and
-// renamed over path. A crash at any point leaves either the previous
+// renamed over path, and the directory is synced so the rename itself
+// survives power loss. A crash at any point leaves either the previous
 // snapshot or the new one, never a torn mix.
 func Save(path string, state any) error {
 	buf, err := Encode(state)
@@ -171,6 +172,17 @@ func Save(path string, state any) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		cleanup()
 		return fmt.Errorf("checkpoint: rename into place: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: open dir %s: %w", dir, err)
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("checkpoint: close dir %s: %w", dir, err)
 	}
 	return nil
 }

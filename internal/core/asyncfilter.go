@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/asyncfl/asyncfilter/internal/cluster"
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -381,14 +382,14 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 	for _, u := range updates {
 		pooled.Add(u.Delta)
 	}
-	//lint:ignore hotalloc per-round distance scratch sized by the batch; first target of the ROADMAP item 2 arena
+	//lint:ignore hotalloc per-round distance scratch sized by the batch; the update arena pools whole deltas only, filter-owned scratch is the filter-core item in ROADMAP.md
 	dists := make([]float64, n)
 	for i, u := range updates {
-		//lint:ignore hotalloc the reference mean is a fresh vector per group until the arena lands (ROADMAP item 2)
+		//lint:ignore hotalloc the reference mean is a fresh vector per group; computing it lazily into filter-owned scratch is the filter-core item in ROADMAP.md
 		ref := f.referenceMean(live, groupOf[i], pooled)
 		dists[i] = vecmath.Distance(ref, u.Delta)
 	}
-	//lint:ignore hotalloc scores escape through LastScores and the observer, so the round must own a fresh slice (ROADMAP item 2)
+	//lint:ignore hotalloc scores escape through LastScores and the observer, so the round must own a fresh slice
 	scores := f.normalize(updates, dists, live, groupOf)
 	f.lastScores = scores
 
@@ -427,7 +428,7 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 					continue
 				}
 				if sums[k] == nil {
-					//lint:ignore hotalloc one accumulator per live staleness group per round; pooled once arenas land (ROADMAP item 2)
+					//lint:ignore hotalloc one accumulator per live staleness group per round; the update arena pools whole deltas only, filter-owned scratch is the filter-core item in ROADMAP.md
 					sums[k] = make([]float64, f.dim)
 				}
 				vecmath.Add(sums[k], sums[k], u.Delta)
@@ -622,11 +623,18 @@ func (f *AsyncFilter) normalize(updates []*fl.Update, dists []float64, live map[
 	}
 
 	if f.cfg.Normalization == NormalizeGroups && len(live) >= 2 {
-		// Eq. 7 literal: per-client denominator over all group estimates.
+		// Eq. 7 literal: per-client denominator over all group estimates,
+		// summed in ascending staleness-key order so identical filters
+		// give bit-identical scores.
+		keys := make([]int, 0, len(live))
+		for k := range live {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
 		for i, u := range updates {
 			var denom float64
-			for _, est := range live {
-				d := vecmath.Distance(est.Mean(), u.Delta)
+			for _, k := range keys {
+				d := vecmath.Distance(live[k].Mean(), u.Delta)
 				denom += d * d
 			}
 			if denom <= 0 {

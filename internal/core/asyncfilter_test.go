@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -557,6 +558,39 @@ func TestReferenceGroupTieIsDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(state, wantState) {
 			t.Fatalf("trial %d: filter state differs from the first run", trial)
+		}
+	}
+}
+
+// TestNormalizeGroupsBitIdentical pins the Eq. 7 denominator's summation
+// order: with several live staleness groups, fresh filters fed the same
+// history must score the same batch bit for bit. Summing over the live
+// map in iteration order made the last bits vary from filter to filter.
+func TestNormalizeGroupsBitIdentical(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Normalization = NormalizeGroups
+	groups := map[int]int{0: 6, 1: 6, 2: 6, 3: 6, 4: 6}
+	run := func() []float64 {
+		f := mustNew(t, cfg)
+		for round := 1; round <= 3; round++ {
+			updates, _ := makeBatch(int64(40+round), groups, 3, 0.4)
+			res, err := f.Filter(updates, round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 3 {
+				return res.Scores
+			}
+		}
+		return nil
+	}
+	want := run()
+	for trial := 0; trial < 32; trial++ {
+		got := run()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: score %d = %x, first filter gave %x", trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 	}
 }

@@ -157,9 +157,6 @@ type AggregatorConfig struct {
 	// SampleWeighted weights updates by NumSamples when true; otherwise
 	// uniformly.
 	SampleWeighted bool
-	// ServerLR scales the aggregated delta before it is applied to the
-	// global model. Zero selects 1.
-	ServerLR float64
 }
 
 // Aggregate applies the weighted mean of the updates' deltas to the global
@@ -185,15 +182,11 @@ func Aggregate(global []float64, updates []*Update, cfg AggregatorConfig) ([]flo
 	if total <= 0 {
 		return nil, fmt.Errorf("fl: Aggregate: aggregation weights sum to %v", total)
 	}
-	lr := cfg.ServerLR
-	if vecmath.IsZero(lr) {
-		lr = 1
-	}
 	for i := range weights {
 		weights[i] /= total
 	}
 	for i, u := range updates {
-		vecmath.AXPY(global, lr*weights[i], u.Delta)
+		vecmath.AXPY(global, weights[i], u.Delta)
 	}
 	return weights, nil
 }
@@ -213,8 +206,8 @@ type Filter interface {
 }
 
 // RoundObserver is implemented by filters that need post-aggregation
-// feedback. After applying an aggregation, the server calls ObserveRound
-// with the new global parameters and the updates that were accepted.
+// feedback. After committing a round, the Engine calls ObserveRound with
+// the new global parameters and the updates that were accepted.
 type RoundObserver interface {
 	ObserveRound(round int, global []float64, accepted []*Update)
 }

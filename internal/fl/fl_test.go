@@ -168,17 +168,6 @@ func TestAggregateStalenessDiscount(t *testing.T) {
 	}
 }
 
-func TestAggregateServerLR(t *testing.T) {
-	global := []float64{0}
-	updates := []*Update{{Delta: []float64{2}, NumSamples: 1}}
-	if _, err := Aggregate(global, updates, AggregatorConfig{ServerLR: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(global[0]-1) > 1e-12 {
-		t.Errorf("global = %v, want 1", global[0])
-	}
-}
-
 func TestAggregateErrors(t *testing.T) {
 	global := []float64{0, 0}
 	if _, err := Aggregate(global, []*Update{{Delta: []float64{1}}}, AggregatorConfig{}); err == nil {
@@ -316,7 +305,10 @@ func TestBufferNoLimit(t *testing.T) {
 
 func TestBufferRequeue(t *testing.T) {
 	b, _ := NewBuffer(3, 4)
-	b.Requeue([]*Update{{Staleness: 2}, {Staleness: 4}})
+	// Drained at version 4 with staleness 2 and 4, the deferrals are
+	// requeued at version 5: each ages by one, and the second crosses the
+	// limit.
+	b.RequeueAt([]*Update{{BaseVersion: 2, Staleness: 2}, {BaseVersion: 0, Staleness: 4}}, 5)
 	if b.Len() != 1 {
 		t.Fatalf("requeue kept %d updates, want 1 (the other crossed the limit)", b.Len())
 	}
@@ -454,7 +446,7 @@ func TestBufferRequeueDoesNotRearmReady(t *testing.T) {
 		t.Fatal("drained buffer still ready")
 	}
 
-	b.Requeue(deferred)
+	b.RequeueAt(deferred, 1)
 	if b.Len() < b.Goal() {
 		t.Fatalf("requeue kept %d updates, goal is %d; test needs len >= goal", b.Len(), b.Goal())
 	}
@@ -467,16 +459,6 @@ func TestBufferRequeueDoesNotRearmReady(t *testing.T) {
 		t.Error("fresh arrival on a full buffer did not arm Ready")
 	}
 
-	// Same property for the drain-time-staleness variant.
-	b2, _ := NewBuffer(2, 0)
-	b2.RequeueAt([]*Update{{BaseVersion: 0}, {BaseVersion: 1}, {BaseVersion: 2}}, 3)
-	if b2.Ready() {
-		t.Error("RequeueAt alone re-armed Ready")
-	}
-	b2.Add(&Update{ClientID: 5})
-	if !b2.Ready() {
-		t.Error("fresh arrival after RequeueAt did not arm Ready")
-	}
 }
 
 func TestBufferSnapshotRestore(t *testing.T) {

@@ -76,9 +76,9 @@ func TestBufferObserverDrainRequeueShed(t *testing.T) {
 		t.Fatalf("drain event: %+v", ev)
 	}
 
-	// One requeued survivor and one pushed past the limit.
-	drained[0].Staleness = 5 // ages to 6 > limit
-	b.Requeue(drained)
+	// One requeued survivor and one pushed past the limit: at version 6
+	// the base-0 update reads staleness 6 > 5.
+	b.RequeueAt(drained, 6)
 	ev = rec.last(t)
 	if ev.Requeued != 1 || ev.DroppedStale != 1 || ev.Pending != 1 {
 		t.Fatalf("requeue event: %+v", ev)
@@ -151,7 +151,7 @@ func TestBufferObserverNeutrality(t *testing.T) {
 		}
 		b.Shed(1)
 		drained := b.Drain()
-		b.Requeue(drained[:2])
+		b.RequeueAt(drained[:2], 5)
 		received, stale := b.Stats()
 		return received, stale, b.Len(), b.Ready()
 	}

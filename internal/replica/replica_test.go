@@ -196,8 +196,10 @@ func TestMirrorPromoteAndReconcile(t *testing.T) {
 			t.Fatalf("batch %d: nack=%v ack=%d", b, reply.Nack, reply.Ack)
 		}
 	}
+	// The standby counts a record only after ApplyRecord returns, so the
+	// root's version can reach 3 before RecordsApplied does: wait on both.
 	waitFor(t, 5*time.Second, "standby to mirror 3 records", func() bool {
-		return sRoot.Version() == 3
+		return sRoot.Version() == 3 && sNode.Stats().RecordsApplied >= 3
 	})
 	st := sNode.Stats()
 	if st.RecordsApplied != 3 {

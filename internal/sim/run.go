@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 
 	"github.com/asyncfl/asyncfilter/internal/attack"
@@ -9,7 +10,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/model"
 	"github.com/asyncfl/asyncfilter/internal/optim"
-	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // PresetModelAndTrainer returns the model architecture and trainer
@@ -53,18 +53,13 @@ func (s *Simulation) Run() (*Result, error) {
 		AttackName: s.atk.Name(),
 	}
 
-	buffer, err := fl.NewBuffer(s.cfg.AggregationGoal, s.cfg.StalenessLimit)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
 	// Prime the event queue: every client starts training at t=0 from
 	// version 0 (the paper's sampler selects all clients each round).
 	queue := &eventQueue{}
 	heap.Init(queue)
 	seq := 0
 	schedule := func(c *client, now float64) {
-		c.baseVersion = s.version
+		c.baseVersion = s.eng.Version
 		jitter := 0.9 + 0.2*s.jitter.Float64()
 		delay := c.latency * jitter
 		if s.cfg.CrashRate > 0 && s.jitter.Float64() < s.cfg.CrashRate {
@@ -84,15 +79,15 @@ func (s *Simulation) Run() (*Result, error) {
 	var stalenessCount int
 	now := 0.0
 
-	for s.version < s.cfg.Rounds {
+	for s.eng.Version < s.cfg.Rounds {
 		if queue.Len() == 0 {
-			return nil, fmt.Errorf("sim: event queue drained before round %d", s.version)
+			return nil, fmt.Errorf("sim: event queue drained before round %d", s.eng.Version)
 		}
 		ev := heap.Pop(queue).(event)
 		now = ev.time
 		c := s.clients[ev.clientID]
 
-		staleness := s.version - c.baseVersion
+		staleness := s.eng.Version - c.baseVersion
 		if s.cfg.StalenessLimit > 0 && staleness > s.cfg.StalenessLimit {
 			// The server would discard this update on arrival; skip the
 			// (wasted) training work entirely.
@@ -123,7 +118,7 @@ func (s *Simulation) Run() (*Result, error) {
 			Delta:       delta,
 			NumSamples:  c.data.Len(),
 		}
-		if buffer.Add(update) {
+		if s.buffer.Add(update) {
 			stalenessSum += float64(staleness)
 			stalenessCount++
 		} else {
@@ -131,10 +126,10 @@ func (s *Simulation) Run() (*Result, error) {
 		}
 		schedule(c, now)
 
-		if !buffer.Ready() {
+		if !s.buffer.Ready() {
 			continue
 		}
-		if err := s.aggregateRound(buffer, res, now); err != nil {
+		if err := s.aggregateRound(res, now); err != nil {
 			return nil, err
 		}
 	}
@@ -142,12 +137,12 @@ func (s *Simulation) Run() (*Result, error) {
 	if stalenessCount > 0 {
 		res.MeanStaleness = stalenessSum / float64(stalenessCount)
 	}
-	res.Rounds = s.version
+	res.Rounds = s.eng.Version
 	res.SimTime = now
 	res.FinalAccuracy, res.FinalLoss = s.evaluate()
-	if len(res.History) == 0 || res.History[len(res.History)-1].Round != s.version {
+	if len(res.History) == 0 || res.History[len(res.History)-1].Round != s.eng.Version {
 		res.History = append(res.History, RoundPoint{
-			Round: s.version, Time: now,
+			Round: s.eng.Version, Time: now,
 			Accuracy: res.FinalAccuracy, Loss: res.FinalLoss,
 		})
 	}
@@ -162,10 +157,12 @@ func (s *Simulation) localTrain(c *client, base []float64) ([]float64, error) {
 	return fl.LocalTrain(m, c.data, s.cfg.Trainer, c.rng)
 }
 
-// aggregateRound runs attack crafting, filtering and aggregation on the
-// full buffer, advancing the global model by one version.
-func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64) error {
-	updates := buffer.Drain()
+// aggregateRound runs one engine round on the full buffer, crafting the
+// attack between drain and filter and tallying detection against ground
+// truth before commit.
+func (s *Simulation) aggregateRound(res *Result, now float64) error {
+	rd := s.eng.Drain()
+	updates := rd.Updates
 
 	// Attack crafting: the malicious clients present in this batch collude,
 	// replacing their honest deltas with crafted poison. Staleness-aware
@@ -196,19 +193,17 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 		}
 	}
 
-	round := s.version + 1
-	fres, err := s.filter.Filter(updates, round)
-	if err != nil {
-		return fmt.Errorf("sim: filter: %w", err)
+	s.eng.Decide(rd)
+	if len(rd.Errs) > 0 {
+		return fmt.Errorf("sim: %w", errors.Join(rd.Errs...))
 	}
-	accepted, deferred, rejected := fres.Split(updates)
-	res.Accepted += len(accepted)
-	res.Deferred += len(deferred)
-	res.Rejected += len(rejected)
+	res.Accepted += len(rd.Accepted)
+	res.Deferred += len(rd.Deferred)
+	res.Rejected += len(rd.Rejected)
 	maliciousInBatch, maliciousCaught := 0, 0
 	for i, u := range updates {
 		malicious := s.clients[u.ClientID].malicious
-		flagged := fres.Decisions[i] == fl.Reject
+		flagged := rd.Result.Decisions[i] == fl.Reject
 		if malicious {
 			maliciousInBatch++
 			if flagged {
@@ -223,12 +218,12 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 			hist[u.Staleness]++
 		}
 		if err := s.writeTrace(s.cfg.TraceWriter, TraceRecord{
-			Round:              round,
+			Round:              rd.Number,
 			Time:               now,
 			BatchSize:          len(updates),
-			Accepted:           len(accepted),
-			Deferred:           len(deferred),
-			Rejected:           len(rejected),
+			Accepted:           len(rd.Accepted),
+			Deferred:           len(rd.Deferred),
+			Rejected:           len(rd.Rejected),
 			MaliciousInBatch:   maliciousInBatch,
 			MaliciousCaught:    maliciousCaught,
 			StalenessHistogram: hist,
@@ -237,39 +232,17 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 		}
 	}
 
-	if len(accepted) > 0 {
-		delta, err := s.combiner.Combine(accepted, s.cfg.Aggregator)
-		if err != nil {
-			return fmt.Errorf("sim: combine: %w", err)
-		}
-		lr := s.cfg.Aggregator.ServerLR
-		if vecmath.IsZero(lr) {
-			lr = 1
-		}
-		if s.combiner.Name() == "mean" {
-			// MeanCombiner already applied staleness/sample weighting and
-			// the server learning rate semantics of fl.Aggregate.
-			vecmath.Add(s.global, s.global, delta)
-		} else {
-			vecmath.AXPY(s.global, lr, delta)
-		}
-	}
-
-	// Advance the version even when nothing was accepted: the round
-	// happened, and staleness accounting depends on it.
-	s.version++
-	s.snapshots[s.version] = append([]float64(nil), s.global...)
+	s.eng.Commit(rd)
+	res.DroppedStale += rd.DroppedStale
+	s.snapshots[s.eng.Version] = append([]float64(nil), s.eng.Global...)
 	s.pruneSnapshots()
-
-	buffer.Requeue(deferred)
-
-	if obs, ok := s.filter.(fl.RoundObserver); ok {
-		obs.ObserveRound(s.version, s.global, accepted)
+	if err := s.eng.Retire(rd, false); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 
-	if s.cfg.EvalEvery > 0 && s.version%s.cfg.EvalEvery == 0 && s.version < s.cfg.Rounds {
+	if v := s.eng.Version; s.cfg.EvalEvery > 0 && v%s.cfg.EvalEvery == 0 && v < s.cfg.Rounds {
 		acc, loss := s.evaluate()
-		res.History = append(res.History, RoundPoint{Round: s.version, Time: now, Accuracy: acc, Loss: loss})
+		res.History = append(res.History, RoundPoint{Round: v, Time: now, Accuracy: acc, Loss: loss})
 	}
 	return nil
 }
@@ -277,7 +250,7 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 // pruneSnapshots drops model snapshots no in-flight client can still
 // reference.
 func (s *Simulation) pruneSnapshots() {
-	oldest := s.version
+	oldest := s.eng.Version
 	for _, c := range s.clients {
 		if c.baseVersion < oldest {
 			oldest = c.baseVersion
@@ -293,17 +266,17 @@ func (s *Simulation) pruneSnapshots() {
 // evaluate returns the global model's test accuracy and loss.
 func (s *Simulation) evaluate() (float64, float64) {
 	m := s.proto.Clone()
-	m.SetParams(s.global)
+	m.SetParams(s.eng.Global)
 	return model.Evaluate(m, s.test)
 }
 
 // GlobalParams returns a copy of the current global parameters.
 func (s *Simulation) GlobalParams() []float64 {
-	return append([]float64(nil), s.global...)
+	return append([]float64(nil), s.eng.Global...)
 }
 
 // Version returns the current global model version.
-func (s *Simulation) Version() int { return s.version }
+func (s *Simulation) Version() int { return s.eng.Version }
 
 // MaliciousClients returns the IDs of attacker-controlled clients.
 func (s *Simulation) MaliciousClients() []int {
@@ -345,7 +318,7 @@ func (o *CleanShardOracle) ReferenceDelta(baseVersion int) ([]float64, error) {
 		// The snapshot was pruned; fall back to the nearest retained
 		// version (the oracle is only consulted for in-limit staleness, so
 		// this is rare).
-		base = o.sim.global
+		base = o.sim.eng.Global
 	}
 	m := o.sim.proto.Clone()
 	m.SetParams(base)

@@ -183,7 +183,7 @@ type Result struct {
 	// Accepted, Deferred, Rejected count filter decisions over all rounds.
 	Accepted, Deferred, Rejected int
 	// DroppedStale counts updates discarded for exceeding the staleness
-	// limit (before filtering).
+	// limit: on arrival, or when requeued after a deferral.
 	DroppedStale int
 	// LostUpdates counts updates lost to injected transit failures.
 	LostUpdates int
@@ -240,19 +240,20 @@ type client struct {
 // Simulation is a fully-constructed AFL run. Build with New, execute with
 // Run.
 type Simulation struct {
-	cfg      Config
-	filter   fl.Filter
-	combiner fl.Combiner
-	atk      attack.Attack
+	cfg    Config
+	filter fl.Filter
+	atk    attack.Attack
 
 	clients   []*client
 	train     *dataset.Dataset
 	test      *dataset.Dataset
 	rootShard *dataset.Dataset
 
-	global    []float64
+	// eng runs every aggregation round and owns the global model and
+	// version; buffer is its update buffer.
+	eng       *fl.Engine
+	buffer    *fl.Buffer
 	proto     model.Model
-	version   int
 	snapshots map[int][]float64
 
 	rng    *rand.Rand
@@ -267,9 +268,6 @@ func New(cfg Config, filter fl.Filter, combiner fl.Combiner) (*Simulation, error
 	}
 	if filter == nil {
 		filter = fl.Passthrough{}
-	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
 	}
 	atk, err := attack.New(cfg.Attack)
 	if err != nil {
@@ -293,7 +291,6 @@ func New(cfg Config, filter fl.Filter, combiner fl.Combiner) (*Simulation, error
 	s := &Simulation{
 		cfg:       cfg,
 		filter:    filter,
-		combiner:  combiner,
 		atk:       atk,
 		train:     train,
 		test:      test,
@@ -339,9 +336,14 @@ func New(cfg Config, filter fl.Filter, combiner fl.Combiner) (*Simulation, error
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.global = make([]float64, s.proto.NumParams())
-	s.proto.Params(s.global)
-	s.snapshots[0] = append([]float64(nil), s.global...)
+	global := make([]float64, s.proto.NumParams())
+	s.proto.Params(global)
+	s.snapshots[0] = append([]float64(nil), global...)
+	s.buffer, err = fl.NewBuffer(cfg.AggregationGoal, cfg.StalenessLimit)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	s.eng = fl.NewEngine(global, s.buffer, filter, combiner, cfg.Aggregator, nil)
 
 	// Clients: latency per device, malicious subset chosen uniformly.
 	latencies, err := s.sampleLatencies(randx.Split(rng))

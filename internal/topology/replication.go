@@ -201,14 +201,14 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 	defer func() { <-r.roundSlot }()
 
 	r.mu.Lock()
-	if rec.Seq != uint64(r.version)+1 {
-		have := r.version
+	if rec.Seq != uint64(r.eng.Version)+1 {
+		have := r.eng.Version
 		r.mu.Unlock()
 		return fmt.Errorf("topology: ApplyRecord: seq %d, root at version %d", rec.Seq, have)
 	}
-	if rec.Delta != nil && len(rec.Delta) != len(r.global) {
+	if rec.Delta != nil && len(rec.Delta) != len(r.eng.Global) {
 		r.mu.Unlock()
-		return fmt.Errorf("topology: ApplyRecord: delta dim %d, model has %d", len(rec.Delta), len(r.global))
+		return fmt.Errorf("topology: ApplyRecord: delta dim %d, model has %d", len(rec.Delta), len(r.eng.Global))
 	}
 	es, ok := r.edges[rec.EdgeID]
 	if !ok {
@@ -223,19 +223,19 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 		es.clientAddr = rec.EdgeAddr
 	}
 	if rec.Delta != nil {
-		vecmath.Add(r.global, r.global, rec.Delta)
+		vecmath.Add(r.eng.Global, r.eng.Global, rec.Delta)
 	}
-	r.version = int(rec.Seq)
+	r.eng.Version = int(rec.Seq)
 	r.observeEpochLocked(rec.Epoch)
 	if rec.ShardVersion > r.shard.Version {
 		r.shard.Version = rec.ShardVersion
 	}
-	r.stats.Rounds = r.version
+	r.stats.Rounds = r.eng.Version
 	r.stats.BatchesApplied++
 	r.stats.Accepted += rec.Accepted
 	r.stats.Deferred += rec.Deferred
 	r.stats.Rejected += rec.Rejected
-	finished := r.version >= r.cfg.Rounds && !r.finished
+	finished := r.eng.Version >= r.cfg.Rounds && !r.finished
 	if finished {
 		r.finished = true
 	}

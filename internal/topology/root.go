@@ -143,13 +143,15 @@ type edgeState struct {
 // the fleet-wide model and shard map, and orchestrates failover. Create
 // with NewRoot, start with Serve, wait on Done.
 type Root struct {
-	cfg      RootConfig
-	filter   fl.Filter
-	combiner fl.Combiner
+	cfg    RootConfig
+	filter fl.Filter
 
-	mu       sync.Mutex
-	global   []float64
-	version  int
+	mu sync.Mutex
+	// eng runs the root rounds and owns the fleet-wide model and its
+	// version (eng.Global, eng.Version); deferred is its buffer, holding
+	// the updates the root filter deferred. Both are guarded by mu.
+	eng      *fl.Engine
+	deferred *fl.Buffer
 	finished bool
 	restored bool
 	closed   bool
@@ -163,7 +165,6 @@ type Root struct {
 	stats        RootStats
 	edges        map[int]*edgeState
 	shard        transport.ShardMap
-	deferred     []*fl.Update
 	// orphans holds filter snapshots of edges that died while no live
 	// survivor existed; they are adopted by the next edge to Hello so a
 	// total partition never loses learned filter state.
@@ -202,14 +203,17 @@ func NewRoot(cfg RootConfig, filter fl.Filter, combiner fl.Combiner) (*Root, err
 	if filter == nil {
 		filter = fl.Passthrough{}
 	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
+	// Edge batches bypass the buffer's arrival check (they enter the round
+	// through Drain), so the staleness limit only ever drops deferrals.
+	deferred, err := fl.NewBuffer(1, cfg.StalenessLimit)
+	if err != nil {
+		return nil, err
 	}
 	r := &Root{
 		cfg:       cfg,
 		filter:    filter,
-		combiner:  combiner,
-		global:    vecmath.Clone(cfg.InitialParams),
+		eng:       fl.NewEngine(vecmath.Clone(cfg.InitialParams), deferred, filter, combiner, cfg.Aggregator, nil),
+		deferred:  deferred,
 		edges:     make(map[int]*edgeState),
 		conns:     make(map[net.Conn]struct{}),
 		roundSlot: make(chan struct{}, 1),
@@ -292,14 +296,14 @@ func (r *Root) Done() <-chan struct{} { return r.done }
 func (r *Root) Version() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.version
+	return r.eng.Version
 }
 
 // FinalParams returns a copy of the current global parameters.
 func (r *Root) FinalParams() []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return vecmath.Clone(r.global)
+	return vecmath.Clone(r.eng.Global)
 }
 
 // Stats returns the lifetime counters.
@@ -327,7 +331,7 @@ func (r *Root) ShardMap() transport.ShardMap {
 func (r *Root) Health() obsv.Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return obsv.Health{Finished: r.finished, Restored: r.restored, Rounds: r.version}
+	return obsv.Health{Finished: r.finished, Restored: r.restored, Rounds: r.eng.Version}
 }
 
 func (r *Root) isClosed() bool {
@@ -533,7 +537,7 @@ func (r *Root) sendReply(uc *transport.UpstreamConn, es *edgeState, reply *trans
 func (r *Root) admitEdge(h *transport.EdgeHello, conn net.Conn) (*edgeState, *transport.RootMsg) {
 	var stale net.Conn
 	r.mu.Lock()
-	if h.EdgeID < 0 || h.ClientAddr == "" || (h.ModelDim != 0 && h.ModelDim != len(r.global)) {
+	if h.EdgeID < 0 || h.ClientAddr == "" || (h.ModelDim != 0 && h.ModelDim != len(r.eng.Global)) {
 		r.stats.NacksSent++
 		r.mu.Unlock()
 		return nil, &transport.RootMsg{Nack: transport.NackMalformed}
@@ -567,7 +571,7 @@ func (r *Root) admitEdge(h *transport.EdgeHello, conn net.Conn) (*edgeState, *tr
 		r.orphans = nil
 	}
 	reply := &transport.RootMsg{
-		Task: &transport.Task{Version: r.version, Params: vecmath.Clone(r.global)},
+		Task: &transport.Task{Version: r.eng.Version, Params: vecmath.Clone(r.eng.Global)},
 		Ack:  es.lastApplied,
 		Done: r.finished,
 	}
@@ -604,8 +608,9 @@ func (r *Root) heartbeat(es *edgeState) *transport.RootMsg {
 }
 
 // applyBatch applies one edge batch exactly once: ids at or below the
-// watermark are answered with a bare ack, anything above it runs a
-// filter+aggregate round and advances the watermark (skipped ids are
+// watermark are answered with a bare ack, anything above it runs an
+// engine round over the batch and the root's deferrals and advances the
+// watermark (skipped ids are
 // accounted as lost). The whole decision runs while holding the round
 // slot so two connections replaying the same id cannot both observe the
 // pre-apply watermark.
@@ -621,7 +626,7 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 		// was already applied, acknowledge without touching the model.
 		r.stats.BatchesReplayed++
 		reply := &transport.RootMsg{
-			Task: &transport.Task{Version: r.version, Params: vecmath.Clone(r.global)},
+			Task: &transport.Task{Version: r.eng.Version, Params: vecmath.Clone(r.eng.Global)},
 			Ack:  es.lastApplied,
 			Done: r.finished,
 		}
@@ -648,56 +653,45 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 	if len(b.FilterState) > 0 {
 		es.filterState = b.FilterState
 	}
-	batch := r.deferred
-	r.deferred = nil
-	dim := len(r.global)
+	dim := len(r.eng.Global)
+	arrivals := make([]*fl.Update, 0, len(b.Updates))
 	for _, u := range b.Updates {
 		if u == nil || len(u.Delta) != dim {
 			r.stats.DroppedMalformed++
 			continue
 		}
-		batch = append(batch, u)
+		// Re-base the update on the root's clock so the engine's staleness
+		// (Version - BaseVersion) is the edge staleness it arrived with;
+		// each round it then spends deferred ages it by one.
+		u.BaseVersion = r.eng.Version - u.Staleness
+		arrivals = append(arrivals, u)
 	}
-	round := r.version + 1
+	rd := r.eng.Drain(arrivals...)
 	r.mu.Unlock()
 
 	// Filter and combine run outside r.mu (they are O(batch · dim)); the
 	// round slot keeps rounds strictly ordered and the filter quiescent.
-	fres, err := r.filterBatch(batch, round)
-	if err != nil {
-		fres = fl.AcceptAll(len(batch))
+	r.eng.Decide(rd)
+	for _, err := range rd.Errs {
+		log.Printf("topology: root %v", err)
 	}
-	accepted, deferred, rejected := fres.Split(batch)
-	delta := r.combineBatch(accepted, round)
 
 	r.mu.Lock()
-	if delta != nil {
-		vecmath.Add(r.global, r.global, delta)
-	}
-	r.version++
+	r.eng.Commit(rd)
 	es.lastApplied = b.BatchID
-	r.stats.Rounds = r.version
+	r.stats.Rounds = r.eng.Version
 	r.stats.BatchesApplied++
-	r.stats.Accepted += len(accepted)
-	r.stats.Deferred += len(deferred)
-	r.stats.Rejected += len(rejected)
-	// Deferred updates wait for the next batch; each requeue round ages
-	// them by one, and the staleness limit bounds how long a verdict can
-	// be postponed.
-	for _, u := range deferred {
-		u.Staleness++
-		if r.cfg.StalenessLimit > 0 && u.Staleness > r.cfg.StalenessLimit {
-			r.stats.DroppedStale++
-			continue
-		}
-		r.deferred = append(r.deferred, u)
-	}
-	if r.version >= r.cfg.Rounds && !r.finished {
+	r.stats.HandlerPanics += rd.Panics
+	r.stats.Accepted += len(rd.Accepted)
+	r.stats.Deferred += len(rd.Deferred)
+	r.stats.Rejected += len(rd.Rejected)
+	r.stats.DroppedStale += rd.DroppedStale
+	if r.eng.Version >= r.cfg.Rounds && !r.finished {
 		r.finished = true
 		r.closeDone()
 	}
 	reply := &transport.RootMsg{
-		Task: &transport.Task{Version: r.version, Params: vecmath.Clone(r.global)},
+		Task: &transport.Task{Version: r.eng.Version, Params: vecmath.Clone(r.eng.Global)},
 		Ack:  es.lastApplied,
 		Done: r.finished,
 	}
@@ -705,14 +699,20 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 	if every <= 0 {
 		every = 1
 	}
-	checkpointDue := r.cfg.CheckpointPath != "" && (r.finished || r.version%every == 0)
+	checkpointDue := r.cfg.CheckpointPath != "" && (r.finished || r.eng.Version%every == 0)
 	var rec *transport.ReplRecord
 	if r.onCommit != nil {
-		rec = r.buildReplRecord(es, b, delta, len(accepted), len(deferred), len(rejected))
+		rec = r.buildReplRecord(es, b, rd.Delta, len(rd.Accepted), len(rd.Deferred), len(rd.Rejected))
 	}
 	r.noteBatch(es.id, "applied")
 	r.mu.Unlock()
 
+	if err := r.eng.Retire(rd, false); err != nil {
+		r.mu.Lock()
+		r.stats.HandlerPanics++
+		r.mu.Unlock()
+		log.Printf("topology: recovered root %v", err)
+	}
 	if rec != nil {
 		// Still holding the round slot: records reach the replication
 		// stream in strict version order, and the filter is quiescent for
@@ -733,9 +733,9 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 //
 //afl:hotpath
 func (r *Root) buildReplRecord(es *edgeState, b *transport.BatchMsg, delta []float64, accepted, deferred, rejected int) *transport.ReplRecord {
-	//lint:ignore hotalloc the record must own its payload: it escapes to the replication stream, so a fresh struct and a deep-copied delta are the contract (arena reuse tracked by ROADMAP item 2)
+	//lint:ignore hotalloc the record must own its payload: it escapes to the replication stream, so a fresh struct and a deep-copied delta are the contract
 	return &transport.ReplRecord{
-		Seq:          uint64(r.version),
+		Seq:          uint64(r.eng.Version),
 		Epoch:        r.epoch,
 		EdgeID:       es.id,
 		BatchID:      b.BatchID,
@@ -747,48 +747,6 @@ func (r *Root) buildReplRecord(es *edgeState, b *transport.BatchMsg, delta []flo
 		Deferred: deferred,
 		Rejected: rejected,
 	}
-}
-
-// filterBatch runs the root filter behind the same recover guard as the
-// transport server: a panicking filter downgrades to accept-all for the
-// round instead of wedging the round slot.
-func (r *Root) filterBatch(updates []*fl.Update, round int) (fres fl.FilterResult, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.mu.Lock()
-			r.stats.HandlerPanics++
-			r.mu.Unlock()
-			log.Printf("topology: recovered root filter panic in round %d: %v\n%s", round, rec, debug.Stack())
-			err = fmt.Errorf("topology: root filter panic: %v", rec)
-		}
-	}()
-	if len(updates) == 0 {
-		return fl.FilterResult{}, nil
-	}
-	return r.filter.Filter(updates, round)
-}
-
-// combineBatch runs the combiner behind a recover guard; a failing
-// combiner loses the round's delta but the round still commits.
-func (r *Root) combineBatch(accepted []*fl.Update, round int) (delta []float64) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.mu.Lock()
-			r.stats.HandlerPanics++
-			r.mu.Unlock()
-			log.Printf("topology: recovered root combiner panic in round %d: %v\n%s", round, rec, debug.Stack())
-			delta = nil
-		}
-	}()
-	if len(accepted) == 0 {
-		return nil
-	}
-	d, err := r.combiner.Combine(accepted, r.cfg.Aggregator)
-	if err != nil {
-		log.Printf("topology: root combiner failed in round %d: %v", round, err)
-		return nil
-	}
-	return d
 }
 
 // rebuildShardLocked recomputes the shard map from the live edges and
@@ -935,16 +893,14 @@ type edgeCkpt struct {
 func (r *Root) captureCkpt() rootCkpt {
 	r.mu.Lock()
 	ck := rootCkpt{
-		Global:       vecmath.Clone(r.global),
-		Version:      r.version,
+		Global:       vecmath.Clone(r.eng.Global),
+		Version:      r.eng.Version,
 		Stats:        r.stats,
 		ShardVersion: r.shard.Version,
 		FilterName:   r.filter.Name(),
 		Epoch:        r.epoch,
 	}
-	for _, u := range r.deferred {
-		ck.Deferred = append(ck.Deferred, fl.CloneUpdate(u))
-	}
+	ck.Deferred = r.deferred.Snapshot().Updates
 	ck.Orphans = r.orphans
 	for _, es := range r.edges {
 		ck.Edges = append(ck.Edges, edgeCkpt{
@@ -1033,11 +989,11 @@ func (r *Root) adoptCkpt(ck *rootCkpt, where string) error {
 		}
 	}
 	r.mu.Lock()
-	r.global = vecmath.Clone(ck.Global)
-	r.version = ck.Version
+	r.eng.Global = vecmath.Clone(ck.Global)
+	r.eng.Version = ck.Version
 	r.stats = ck.Stats
 	r.shard.Version = ck.ShardVersion
-	r.deferred = ck.Deferred
+	r.deferred.Restore(fl.BufferState{Updates: ck.Deferred})
 	r.orphans = ck.Orphans
 	r.observeEpochLocked(ck.Epoch)
 	r.edges = make(map[int]*edgeState, len(ck.Edges))
@@ -1050,7 +1006,7 @@ func (r *Root) adoptCkpt(ck *rootCkpt, where string) error {
 			handoffs:    ec.Handoffs,
 		}
 	}
-	finished := r.version >= r.cfg.Rounds
+	finished := r.eng.Version >= r.cfg.Rounds
 	if finished {
 		r.finished = true
 	}

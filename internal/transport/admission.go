@@ -71,7 +71,7 @@ func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []flo
 		return admissionVerdict{}
 	}
 	s.stats.UpdatesReceived++
-	if len(delta) != len(s.global) {
+	if len(delta) != len(s.eng.Global) {
 		s.stats.DroppedMalformed++
 		s.mu.Unlock()
 		s.arena.PutVec(delta)
@@ -113,7 +113,7 @@ func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []flo
 	update := s.arena.GetUpdate()
 	update.ClientID = sess.id
 	update.BaseVersion = baseVersion
-	update.Staleness = s.version - baseVersion
+	update.Staleness = s.eng.Version - baseVersion
 	update.Delta = delta
 	update.NumSamples = sess.weight()
 
@@ -123,7 +123,7 @@ func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []flo
 	// stalest candidate (its BaseVersion is at or below everything
 	// buffered), shedding stalest-first means dropping it.
 	var shed []*fl.Update
-	shedVersion := s.version
+	shedVersion := s.eng.Version
 	if s.cfg.MaxPendingUpdates > 0 && s.buffer.Len() >= s.cfg.MaxPendingUpdates {
 		if oldest, ok := s.buffer.OldestBase(); ok && update.BaseVersion <= oldest {
 			s.stats.DroppedShed++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -65,7 +64,7 @@ func (s *Server) shouldCheckpointLocked() bool {
 	if every <= 0 {
 		every = 1
 	}
-	return s.version%every == 0 || s.finished
+	return s.eng.Version%every == 0 || s.finished
 }
 
 // captureSnapshotLocked deep-copies the server's durable fields into a
@@ -75,8 +74,8 @@ func (s *Server) shouldCheckpointLocked() bool {
 func (s *Server) captureSnapshotLocked() *serverSnapshot {
 	snap := &serverSnapshot{
 		FilterName: s.filter.Name(),
-		Global:     vecmath.Clone(s.global),
-		Version:    s.version,
+		Global:     vecmath.Clone(s.eng.Global),
+		Version:    s.eng.Version,
 		Stats:      s.stats,
 		Buffer:     s.buffer.Snapshot(),
 		Sessions:   make([]sessionSnapshot, 0, len(s.sessions)),
@@ -114,14 +113,7 @@ func (s *Server) writeSnapshot(snap *serverSnapshot) {
 	// Recover guard: SnapshotState calls into the (possibly buggy) filter
 	// while the aggregating flag is set; a panic escaping here would leave
 	// the flag stuck and wedge Close.
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered checkpoint panic: %v\n%s", r, debug.Stack())
-		}
-	}()
+	defer s.recoverPanic("checkpoint")
 	if snapshotter, ok := s.filter.(fl.StateSnapshotter); ok {
 		data, err := snapshotter.SnapshotState()
 		if err != nil {
@@ -177,8 +169,8 @@ func (s *Server) restoreFromCheckpoint(path string) error {
 		}
 	}
 
-	s.global = vecmath.Clone(snap.Global)
-	s.version = snap.Version
+	s.eng.Global = vecmath.Clone(snap.Global)
+	s.eng.Version = snap.Version
 	s.stats = snap.Stats
 	s.buffer.Restore(snap.Buffer)
 	now := time.Now()
@@ -198,7 +190,7 @@ func (s *Server) restoreFromCheckpoint(path string) error {
 		s.sessions[ss.ClientID] = sess
 	}
 	s.restored = true
-	if s.version >= s.cfg.Rounds {
+	if s.eng.Version >= s.cfg.Rounds {
 		// The checkpoint captured an already-completed deployment.
 		s.finished = true
 		close(s.done)

@@ -312,20 +312,21 @@ func (c *ServerConfig) Validate() error {
 // Server is the asynchronous FL aggregation server. Create with NewServer,
 // start with Serve, wait on Done.
 type Server struct {
-	cfg      ServerConfig
-	filter   fl.Filter
-	combiner fl.Combiner
+	cfg    ServerConfig
+	filter fl.Filter
 
 	// arena recycles update-delta vectors and Update structs across the
 	// receive -> buffer -> filter -> round-commit pipeline. Deltas
 	// decoded from the binary wire are arena-backed; ownership transfers
-	// through receiveUpdate and Buffer.Add, and the round that retires an
-	// update returns its memory here (see maybeAggregate).
+	// through receiveUpdate and Buffer.Add, and the engine returns an
+	// update's memory here when the round that drained it retires.
 	arena *fl.Arena
 
-	mu       sync.Mutex
-	global   []float64
-	version  int
+	mu sync.Mutex
+	// eng runs the aggregation rounds and owns the global model and its
+	// version (eng.Global, eng.Version); buffer is its update buffer.
+	// Both are guarded by mu.
+	eng      *fl.Engine
 	buffer   *fl.Buffer
 	finished bool
 	// killed marks a Close that ended the deployment before its rounds
@@ -434,19 +435,16 @@ func NewServer(cfg ServerConfig, filter fl.Filter, combiner fl.Combiner) (*Serve
 	if filter == nil {
 		filter = fl.Passthrough{}
 	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
-	}
 	buffer, err := fl.NewBuffer(cfg.AggregationGoal, cfg.StalenessLimit)
 	if err != nil {
 		return nil, err
 	}
+	arena := fl.NewArena(len(cfg.InitialParams))
 	s := &Server{
 		cfg:      cfg,
 		filter:   filter,
-		combiner: combiner,
-		arena:    fl.NewArena(len(cfg.InitialParams)),
-		global:   vecmath.Clone(cfg.InitialParams),
+		arena:    arena,
+		eng:      fl.NewEngine(vecmath.Clone(cfg.InitialParams), buffer, filter, combiner, cfg.Aggregator, arena),
 		buffer:   buffer,
 		sessions: make(map[int]*clientSession),
 		conns:    make(map[net.Conn]struct{}),
@@ -614,14 +612,14 @@ func (s *Server) closeNetwork() error {
 func (s *Server) FinalParams() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return vecmath.Clone(s.global)
+	return vecmath.Clone(s.eng.Global)
 }
 
 // Version returns the current global model version.
 func (s *Server) Version() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.version
+	return s.eng.Version
 }
 
 // Stats returns the lifetime counters.
@@ -793,7 +791,7 @@ func (s *Server) admitHello(h *Hello) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h.ModelDim == len(s.global) {
+	if h.ModelDim == len(s.eng.Global) {
 		return true
 	}
 	s.stats.DroppedMalformed++
@@ -895,7 +893,7 @@ func (s *Server) sendTaskNack(conn net.Conn, wire *serverWire, nack NackCode, re
 	finished := s.finished
 	draining := s.draining
 	killed := s.killed
-	task := Task{Version: s.version, Params: vecmath.Clone(s.global)}
+	task := Task{Version: s.eng.Version, Params: vecmath.Clone(s.eng.Global)}
 	shards, sv := s.shardPushLocked(sentShard)
 	s.mu.Unlock()
 	if killed && !draining {
@@ -922,9 +920,10 @@ const (
 	forceDrain
 )
 
-// maybeAggregate runs filter+aggregate rounds while the buffer is ready
-// (or once unconditionally when forced by the watchdog or a drain). The
-// filter and the combiner are O(buffer · dim) and run *outside* s.mu —
+// maybeAggregate runs engine rounds while the buffer is ready (or once
+// unconditionally when forced by the watchdog or a drain). Drain and
+// Commit run under s.mu; Decide — the filter and the combiner, which are
+// O(buffer · dim) — and Retire run *outside* it:
 // holding the lock across them would serialize every connection handler
 // behind the round and let a stalled filter wedge heartbeats and
 // shutdown. Rounds themselves stay strictly ordered: the aggregating flag
@@ -948,49 +947,29 @@ func (s *Server) maybeAggregate(force forceMode) {
 	}
 	s.aggregating = true
 	for {
-		updates := s.buffer.Drain()
-		if len(updates) == 0 {
+		rd := s.eng.Drain()
+		if len(rd.Updates) == 0 {
 			break
 		}
-		// Staleness is recomputed at drain time so updates that waited in
-		// the buffer across watchdog rounds (or were requeued after a
-		// deferral) carry their true age into the filter and the staleness
-		// discount.
-		for _, u := range updates {
-			u.Staleness = s.version - u.BaseVersion
-		}
-		round := s.version + 1
 		s.mu.Unlock()
 
 		roundStart := time.Now()
-		fres, err := s.filterBatch(updates, round)
-		if err != nil {
-			// A failing filter must not wedge the deployment: fall back to
-			// accepting the batch (FedBuff behaviour) for this round.
-			fres = fl.AcceptAll(len(updates))
+		s.eng.Decide(rd)
+		for _, err := range rd.Errs {
+			log.Printf("transport: %v", err)
 		}
-		accepted, deferred, rejected := fres.Split(updates)
-		delta := s.combineBatch(accepted, round)
 
 		s.mu.Lock()
-		if delta != nil {
-			vecmath.Add(s.global, s.global, delta)
-		}
-		s.stats.Accepted += len(accepted)
-		s.stats.Deferred += len(deferred)
-		s.stats.Rejected += len(rejected)
-		s.noteFilterOutcomesLocked(accepted, rejected)
-		s.version++
-		s.stats.Rounds = s.version
-		s.stats.DroppedStale += s.buffer.RequeueAt(deferred, s.version)
+		s.eng.Commit(rd)
+		s.stats.HandlerPanics += rd.Panics
+		s.stats.Accepted += len(rd.Accepted)
+		s.stats.Deferred += len(rd.Deferred)
+		s.stats.Rejected += len(rd.Rejected)
+		s.stats.DroppedStale += rd.DroppedStale
+		s.noteFilterOutcomesLocked(rd.Accepted, rd.Rejected)
+		s.stats.Rounds = s.eng.Version
 		s.lastProgress = time.Now()
-		version := s.version
-		obs, isObs := s.filter.(fl.RoundObserver)
-		var obsGlobal []float64
-		if isObs {
-			obsGlobal = vecmath.Clone(s.global)
-		}
-		if s.version >= s.cfg.Rounds && !s.finished {
+		if s.eng.Version >= s.cfg.Rounds && !s.finished {
 			s.finished = true
 			close(s.done)
 		}
@@ -1003,32 +982,22 @@ func (s *Server) maybeAggregate(force forceMode) {
 		// Observer, commit hook and checkpoint run unlocked too: the
 		// aggregating flag keeps the filter quiescent, so ObserveRound,
 		// OnRoundCommitted and SnapshotState see exactly this round's
-		// state, in order.
-		s.obs.roundCommitted(version, time.Since(roundStart),
-			len(updates), len(accepted), len(deferred), len(rejected))
-		if isObs {
-			s.observeRound(obs, version, obsGlobal, accepted)
+		// state, in order. Retiring the round recycles its rejected
+		// updates, and its accepted ones unless OnRoundCommitted takes
+		// ownership of them (hierarchical edges forward them upstream).
+		s.obs.roundCommitted(rd.Number, time.Since(roundStart),
+			len(rd.Updates), len(rd.Accepted), len(rd.Deferred), len(rd.Rejected))
+		if err := s.eng.Retire(rd, s.cfg.OnRoundCommitted != nil); err != nil {
+			s.mu.Lock()
+			s.stats.HandlerPanics++
+			s.mu.Unlock()
+			log.Printf("transport: recovered %v", err)
 		}
 		if s.cfg.OnRoundCommitted != nil {
-			s.notifyRoundCommitted(version, accepted)
+			s.notifyRoundCommitted(rd.Number, rd.Accepted)
 		}
 		if snap != nil {
 			s.writeSnapshot(snap)
-		}
-
-		// The round retired these updates, so their memory returns to the
-		// arena: rejected ones were only read (the breaker bookkeeping and
-		// the filter copy what they keep), and accepted ones are recycled
-		// unless OnRoundCommitted took ownership of them (hierarchical
-		// edges forward them upstream). Deferred updates went back into
-		// the buffer and stay alive.
-		for _, u := range rejected {
-			s.arena.PutUpdate(u)
-		}
-		if s.cfg.OnRoundCommitted == nil {
-			for _, u := range accepted {
-				s.arena.PutUpdate(u)
-			}
 		}
 
 		s.mu.Lock()
@@ -1041,76 +1010,11 @@ func (s *Server) maybeAggregate(force forceMode) {
 	s.mu.Unlock()
 }
 
-// filterBatch runs the filter with a recover guard: a panicking filter is
-// downgraded to a failing filter (the caller accepts the batch wholesale,
-// FedBuff behaviour) instead of tearing down the deployment and losing
-// the round's updates. Runs without s.mu held.
-func (s *Server) filterBatch(updates []*fl.Update, round int) (fres fl.FilterResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered filter panic in round %d: %v\n%s", round, r, debug.Stack())
-			err = fmt.Errorf("transport: filter panic: %v", r)
-		}
-	}()
-	return s.filter.Filter(updates, round)
-}
-
-// combineBatch runs the combiner with the same recover guard as
-// filterBatch: a panicking or failing combiner drops this round's delta
-// (the batch is lost) but the round still commits and the server keeps
-// serving. A panic escaping here would unwind past the code that clears
-// the aggregating flag and wedge Close forever. Runs without s.mu held.
-func (s *Server) combineBatch(accepted []*fl.Update, round int) (delta []float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered combiner panic in round %d: %v\n%s", round, r, debug.Stack())
-			delta = nil
-		}
-	}()
-	if len(accepted) == 0 {
-		return nil
-	}
-	d, err := s.combiner.Combine(accepted, s.cfg.Aggregator)
-	if err != nil {
-		log.Printf("transport: combiner failed in round %d: %v", round, err)
-		return nil
-	}
-	return d
-}
-
 // notifyRoundCommitted hands a committed round's accepted updates to the
 // configured OnRoundCommitted callback behind the same recover guard as
 // the other unlocked round-commit work: a panicking callback must not
 // leave the aggregating flag set. Runs without s.mu held.
 func (s *Server) notifyRoundCommitted(version int, accepted []*fl.Update) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered round-commit callback panic in round %d: %v\n%s", version, r, debug.Stack())
-		}
-	}()
+	defer s.recoverPanic("round-commit callback")
 	s.cfg.OnRoundCommitted(version, accepted)
-}
-
-// observeRound delivers the committed round to a RoundObserver filter
-// behind a recover guard, for the same reason as combineBatch: observer
-// panics must not leave the aggregating flag set. Runs without s.mu held.
-func (s *Server) observeRound(obs fl.RoundObserver, version int, global []float64, accepted []*fl.Update) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered observer panic in round %d: %v\n%s", version, r, debug.Stack())
-		}
-	}()
-	obs.ObserveRound(version, global, accepted)
 }

@@ -218,10 +218,10 @@ func (s *Server) AdoptGlobal(params []float64) error {
 	clone := append([]float64(nil), params...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(clone) != len(s.global) {
-		return fmt.Errorf("transport: AdoptGlobal: %d params, model has %d", len(clone), len(s.global))
+	if len(clone) != len(s.eng.Global) {
+		return fmt.Errorf("transport: AdoptGlobal: %d params, model has %d", len(clone), len(s.eng.Global))
 	}
-	s.global = clone
+	s.eng.Global = clone
 	return nil
 }
 
